@@ -21,11 +21,10 @@ open Cmdliner
 
 let setup_logs verbose =
   Fmt_tty.setup_std_outputs ();
-  Logs.set_reporter (Logs_fmt.reporter ());
-  Logs.set_level (if verbose then Some Logs.Debug else Some Logs.Warning)
+  if verbose then Rr_obs.Log.set_level (Some Rr_obs.Log.Debug)
 
 let verbose_arg =
-  let doc = "Enable verbose logging." in
+  let doc = "Log debug-level records as JSON lines on stderr (as RISKROUTE_LOG=debug)." in
   Arg.(value & flag & info [ "v"; "verbose" ] ~doc)
 
 let telemetry_arg =

@@ -19,16 +19,20 @@ let lat_span t = t.bbox.Bbox.max_lat -. t.bbox.Bbox.min_lat
 
 let lon_span t = t.bbox.Bbox.max_lon -. t.bbox.Bbox.min_lon
 
-let cell_of_coord t c =
-  if not (Bbox.contains t.bbox c) then None
+let locate bbox ~rows ~cols c =
+  if not (Bbox.contains bbox c) then None
   else begin
     (* Row 0 is the northern edge: invert the latitude fraction. *)
-    let frac_lat = (t.bbox.Bbox.max_lat -. Coord.lat c) /. lat_span t in
-    let frac_lon = (Coord.lon c -. t.bbox.Bbox.min_lon) /. lon_span t in
-    let row = min (t.rows - 1) (int_of_float (frac_lat *. float_of_int t.rows)) in
-    let col = min (t.cols - 1) (int_of_float (frac_lon *. float_of_int t.cols)) in
+    let lat_span = bbox.Bbox.max_lat -. bbox.Bbox.min_lat in
+    let lon_span = bbox.Bbox.max_lon -. bbox.Bbox.min_lon in
+    let frac_lat = (bbox.Bbox.max_lat -. Coord.lat c) /. lat_span in
+    let frac_lon = (Coord.lon c -. bbox.Bbox.min_lon) /. lon_span in
+    let row = min (rows - 1) (int_of_float (frac_lat *. float_of_int rows)) in
+    let col = min (cols - 1) (int_of_float (frac_lon *. float_of_int cols)) in
     Some (row, col)
   end
+
+let cell_of_coord t c = locate t.bbox ~rows:t.rows ~cols:t.cols c
 
 let coord_of_cell t row col =
   let lat =
@@ -50,6 +54,8 @@ let get t row col = t.cells.(index t row col)
 let set t row col v = t.cells.(index t row col) <- v
 
 let add t row col v = t.cells.(index t row col) <- t.cells.(index t row col) +. v
+
+let cells t = t.cells
 
 let deposit t c mass =
   match cell_of_coord t c with

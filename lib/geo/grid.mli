@@ -17,12 +17,21 @@ val bbox : t -> Bbox.t
 val cell_of_coord : t -> Coord.t -> (int * int) option
 (** Cell containing a coordinate, or [None] outside the box. *)
 
+val locate : Bbox.t -> rows:int -> cols:int -> Coord.t -> (int * int) option
+(** [cell_of_coord] for a [rows] x [cols] grid over the box, without
+    allocating one. *)
+
 val coord_of_cell : t -> int -> int -> Coord.t
 (** Centre of cell [(row, col)]. *)
 
 val get : t -> int -> int -> float
 val set : t -> int -> int -> float -> unit
 val add : t -> int -> int -> float -> unit
+
+val cells : t -> float array
+(** The row-major backing array itself, not a copy: cell [(row, col)] is
+    index [row * cols + col]. For hot loops that index the raster
+    directly; writes go straight into the grid. *)
 
 val deposit : t -> Coord.t -> float -> unit
 (** Add mass at a coordinate's cell; silently drops out-of-box points

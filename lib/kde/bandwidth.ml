@@ -32,21 +32,26 @@ let select ?rng ?(candidates = default_candidates) ?(folds = 5) ?(max_events = 4
   if n < folds then invalid_arg "Bandwidth.select: fewer events than folds";
   Prng.shuffle rng sample;
   (* Fold f holds out indices congruent to f mod folds. *)
+  let splits =
+    Array.init folds (fun f ->
+        let train =
+          Array.of_seq
+            (Seq.filter_map
+               (fun i -> if i mod folds <> f then Some sample.(i) else None)
+               (Seq.init n Fun.id))
+        in
+        let test =
+          Array.of_seq
+            (Seq.filter_map
+               (fun i -> if i mod folds = f then Some sample.(i) else None)
+               (Seq.init n Fun.id))
+        in
+        (train, test))
+  in
   let score_candidate h =
     let fold_scores =
-      Array.init folds (fun f ->
-          let train =
-            Array.of_seq
-              (Seq.filter_map
-                 (fun i -> if i mod folds <> f then Some sample.(i) else None)
-                 (Seq.init n Fun.id))
-          in
-          let test =
-            Array.of_seq
-              (Seq.filter_map
-                 (fun i -> if i mod folds = f then Some sample.(i) else None)
-                 (Seq.init n Fun.id))
-          in
+      Array.map
+        (fun (train, test) ->
           if Array.length train = 0 || Array.length test = 0 then 0.0
           else begin
             match scorer with
@@ -57,13 +62,13 @@ let select ?rng ?(candidates = default_candidates) ?(folds = 5) ?(max_events = 4
                 ~n:(Array.length test)
             | Grid ->
               let rows, cols = grid_dims h in
-              let density = Grid_density.fit ~rows ~cols ~bandwidth:h train in
+              let density = Grid_density.eval_fit ~rows ~cols ~bandwidth:h train test in
               let floor_density = 1e-12 /. (2.0 *. Float.pi *. h *. h) in
               Rr_stats.Divergence.holdout_score
-                ~log_density:(fun i ->
-                  log (Float.max floor_density (Grid_density.eval density test.(i))))
+                ~log_density:(fun i -> log (Float.max floor_density density.(i)))
                 ~n:(Array.length test)
           end)
+        splits
     in
     Arrayx.fmean fold_scores
   in

@@ -25,13 +25,17 @@ let measure ?(warmups = 3) ?(reps = 10) kernels =
       let minor = Array.make reps 0.0 in
       let major = Array.make reps 0.0 in
       for i = 0 to reps - 1 do
+        (* [quick_stat]'s minor_words only advances at minor collections
+           on OCaml 5; [Gc.minor_words] reads the live allocation pointer. *)
         let g0 = Gc.quick_stat () in
+        let mw0 = Gc.minor_words () in
         let t0 = Rr_obs.Clock.monotonic () in
         f ();
         let t1 = Rr_obs.Clock.monotonic () in
+        let mw1 = Gc.minor_words () in
         let g1 = Gc.quick_stat () in
         ns.(i) <- (t1 -. t0) *. 1e9;
-        minor.(i) <- g1.Gc.minor_words -. g0.Gc.minor_words;
+        minor.(i) <- mw1 -. mw0;
         major.(i) <- g1.Gc.major_words -. g0.Gc.major_words
       done;
       {

@@ -13,7 +13,9 @@ val measure :
 (** [measure kernels] runs each named kernel [warmups] times unrecorded
     (default 3), then [reps] recorded times (default 10, floored at 1),
     timing each repetition with the telemetry wall clock and capturing
-    [Gc.quick_stat] deltas. Results keep the input order. *)
+    GC deltas: minor words from [Gc.minor_words] (exact even when no
+    minor collection runs), major words from [Gc.quick_stat]. Both read
+    the calling domain only. Results keep the input order. *)
 
 val quantile : float array -> float -> float
 (** Nearest-rank quantile of a sample array (sorted internally);

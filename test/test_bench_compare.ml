@@ -93,6 +93,16 @@ let test_measure_smoke () =
         (r.Benchfile.min_ns >= 0.0))
     rows
 
+let test_measure_counts_allocation () =
+  match
+    Harness.measure ~warmups:0 ~reps:3
+      [ ("k.alloc", fun () -> ignore (Sys.opaque_identity (List.init 100 Fun.id))) ]
+  with
+  | [ r ] ->
+    Alcotest.(check bool) "allocating kernel reports minor words" true
+      (r.Benchfile.gc_minor_words > 0.0)
+  | _ -> Alcotest.fail "one row expected"
+
 (* --- bench file format --- *)
 
 let meta =
@@ -409,6 +419,8 @@ let () =
         [
           Alcotest.test_case "quantile" `Quick test_quantile;
           Alcotest.test_case "measure smoke" `Quick test_measure_smoke;
+          Alcotest.test_case "measure counts allocation" `Quick
+            test_measure_counts_allocation;
         ] );
       ( "benchfile",
         [

@@ -106,6 +106,159 @@ let test_grid_density_outside () =
   Alcotest.(check (float 1e-12)) "zero outside raster" 0.0
     (Rr_kde.Grid_density.eval grid (coord 55.0 (-100.0)))
 
+(* --- Grid_density against the per-cell-exp reference scatter --- *)
+
+let with_domains k f =
+  let old = Rr_util.Parallel.domain_count () in
+  Rr_util.Parallel.set_domain_count k;
+  Fun.protect ~finally:(fun () -> Rr_util.Parallel.set_domain_count old) f
+
+(* The straightforward fit: one [exp] per (source cell x stencil cell),
+   scattered in source-row chunks merged in chunk order exactly as
+   [Grid_density.fit] chunks them. The stencil-table fit must reproduce
+   it bit for bit at every pool size. *)
+let reference_fit ~rows ~cols ~bandwidth events =
+  let box = Rr_geo.Bbox.conus in
+  let counts = Rr_geo.Grid.create box ~rows ~cols in
+  Array.iter (fun c -> Rr_geo.Grid.deposit counts c 1.0) events;
+  let lat_span = box.Rr_geo.Bbox.max_lat -. box.Rr_geo.Bbox.min_lat in
+  let lon_span = box.Rr_geo.Bbox.max_lon -. box.Rr_geo.Bbox.min_lon in
+  let cell_lat_miles = lat_span /. float_of_int rows *. 69.0 in
+  let out = Rr_geo.Grid.create box ~rows ~cols in
+  let support = Rr_kde.Kernel.support_miles ~bandwidth in
+  let rad_rows = max 1 (int_of_float (Float.ceil (support /. cell_lat_miles))) in
+  let inv_2h2 = 0.5 /. (bandwidth *. bandwidth) in
+  let norm = 1.0 /. (2.0 *. Float.pi *. bandwidth *. bandwidth) in
+  let total_events = float_of_int (Array.length events) in
+  let scatter dst lo hi =
+    for src_row = lo to hi do
+      let src_lat =
+        box.Rr_geo.Bbox.max_lat
+        -. ((float_of_int src_row +. 0.5) /. float_of_int rows *. lat_span)
+      in
+      let cell_lon_miles =
+        lon_span /. float_of_int cols *. 69.0
+        *. Float.max 0.2 (cos (src_lat *. Float.pi /. 180.0))
+      in
+      let rad_cols = max 1 (int_of_float (Float.ceil (support /. cell_lon_miles))) in
+      for src_col = 0 to cols - 1 do
+        let mass = Rr_geo.Grid.get counts src_row src_col in
+        if mass > 0.0 then
+          for dr = -rad_rows to rad_rows do
+            let row = src_row + dr in
+            if row >= 0 && row < rows then
+              for dc = -rad_cols to rad_cols do
+                let col = src_col + dc in
+                if col >= 0 && col < cols then begin
+                  let dy = float_of_int dr *. cell_lat_miles in
+                  let dx = float_of_int dc *. cell_lon_miles in
+                  let d2 = (dy *. dy) +. (dx *. dx) in
+                  let k = norm *. exp (-.d2 *. inv_2h2) in
+                  Rr_geo.Grid.add dst row col (mass *. k /. total_events)
+                end
+              done
+          done
+      done
+    done
+  in
+  let domains = Rr_util.Parallel.domain_count () in
+  if domains <= 1 then scatter out 0 (rows - 1)
+  else begin
+    let chunks = min rows (2 * domains) in
+    for c = 0 to chunks - 1 do
+      let lo = c * rows / chunks and hi = ((c + 1) * rows / chunks) - 1 in
+      let dst = Rr_geo.Grid.create box ~rows ~cols in
+      scatter dst lo hi;
+      Rr_geo.Grid.fold dst ~init:() ~f:(fun () row col v ->
+          if v <> 0.0 then Rr_geo.Grid.add out row col v)
+    done
+  end;
+  out
+
+let reference_eval grid p =
+  match Rr_geo.Grid.cell_of_coord grid p with
+  | None -> 0.0
+  | Some (row, col) -> Rr_geo.Grid.get grid row col
+
+let bits = Int64.bits_of_float
+
+let same_bits a b = Array.length a = Array.length b && Array.for_all2 (fun x y -> bits x = bits y) a b
+
+let grid_bits g =
+  Rr_geo.Grid.fold g ~init:[] ~f:(fun acc _ _ v -> bits v :: acc)
+
+(* Random fits: events scattered over a region a little larger than the
+   CONUS box (some fall outside), pinned to its corners and edges, and
+   clustered in a few bands so many rows stay empty; bandwidths 1.5 to
+   500 miles on rasters from 30 x 60 (stencil wider than the grid) up. *)
+let arb_fit =
+  let open QCheck.Gen in
+  let box = Rr_geo.Bbox.conus in
+  let lo_lat = box.Rr_geo.Bbox.min_lat and hi_lat = box.Rr_geo.Bbox.max_lat in
+  let lo_lon = box.Rr_geo.Bbox.min_lon and hi_lon = box.Rr_geo.Bbox.max_lon in
+  let anywhere =
+    map2 (fun lat lon -> coord lat lon)
+      (float_range (lo_lat -. 1.0) (hi_lat +. 1.0))
+      (float_range (lo_lon -. 1.0) (hi_lon +. 1.0))
+  in
+  let edge =
+    oneofl
+      [ coord lo_lat lo_lon; coord hi_lat hi_lon; coord lo_lat hi_lon;
+        coord hi_lat lo_lon; coord lo_lat (-97.0); coord hi_lat (-97.0);
+        coord 38.0 lo_lon; coord 38.0 hi_lon ]
+  in
+  let band =
+    float_range lo_lat hi_lat >>= fun lat ->
+    map (fun lon -> coord lat lon) (float_range lo_lon hi_lon)
+  in
+  let event = frequency [ (4, anywhere); (1, edge); (3, band) ] in
+  let gen =
+    let* rows = int_range 30 90 in
+    let* cols = int_range 60 160 in
+    let* log_h = float_range (log 1.5) (log 500.0) in
+    let* events = array_size (int_range 1 40) event in
+    let* probes = array_size (int_range 0 30) (frequency [ (3, anywhere); (1, edge) ]) in
+    (* probing at event sites hits occupied neighbourhoods *)
+    return (rows, cols, exp log_h, events, Array.append events probes)
+  in
+  QCheck.make
+    ~print:(fun (rows, cols, h, events, probes) ->
+      Printf.sprintf "rows=%d cols=%d h=%.3f events=%d probes=%d" rows cols h
+        (Array.length events) (Array.length probes))
+    gen
+
+let fit_matches_reference =
+  QCheck.Test.make ~name:"fit is bit-equal to the reference at pools 1, 2, 4"
+    ~count:40 arb_fit (fun (rows, cols, bandwidth, events, _) ->
+      List.for_all
+        (fun k ->
+          with_domains k (fun () ->
+              let got = Rr_kde.Grid_density.fit ~rows ~cols ~bandwidth events in
+              grid_bits (Rr_kde.Grid_density.grid got)
+              = grid_bits (reference_fit ~rows ~cols ~bandwidth events)))
+        [ 1; 2; 4 ])
+
+let eval_fit_matches_reference =
+  QCheck.Test.make
+    ~name:"eval_fit is bit-equal to the pool-1 reference at pools 1, 2, 4"
+    ~count:40 arb_fit (fun (rows, cols, bandwidth, events, probes) ->
+      let reference = with_domains 1 (fun () -> reference_fit ~rows ~cols ~bandwidth events) in
+      let expected = Array.map (reference_eval reference) probes in
+      List.for_all
+        (fun k ->
+          with_domains k (fun () ->
+              same_bits expected
+                (Rr_kde.Grid_density.eval_fit ~rows ~cols ~bandwidth events probes)))
+        [ 1; 2; 4 ])
+
+let test_eval_fit_validation () =
+  Alcotest.check_raises "no events"
+    (Invalid_argument "Grid_density.eval_fit: no events") (fun () ->
+      ignore (Rr_kde.Grid_density.eval_fit ~bandwidth:10.0 [||] [||]));
+  Alcotest.check_raises "bad bandwidth"
+    (Invalid_argument "Grid_density.eval_fit: non-positive bandwidth") (fun () ->
+      ignore (Rr_kde.Grid_density.eval_fit ~bandwidth:0.0 cluster_events [||]))
+
 (* --- Bandwidth selection --- *)
 
 let synthetic_cloud sigma n =
@@ -196,6 +349,9 @@ let () =
           Alcotest.test_case "matches exact" `Quick test_grid_density_matches_exact;
           Alcotest.test_case "unit mass" `Quick test_grid_density_mass;
           Alcotest.test_case "outside raster" `Quick test_grid_density_outside;
+          QCheck_alcotest.to_alcotest fit_matches_reference;
+          QCheck_alcotest.to_alcotest eval_fit_matches_reference;
+          Alcotest.test_case "eval_fit validation" `Quick test_eval_fit_validation;
         ] );
       ( "bandwidth",
         [

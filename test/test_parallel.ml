@@ -206,6 +206,28 @@ let test_abilene_invariant () =
           (fun (p : Augment.pick) -> (p.Augment.u, p.Augment.v, p.Augment.total_after))
           (Augment.greedy ~k:2 env))
 
+(* Grid-scored cross validation gathers held-out densities without the
+   chunked fit, so its scores do not depend on the pool size either. *)
+let test_bandwidth_cv_invariant () =
+  let rng = Rr_util.Prng.create 41L in
+  let events =
+    Array.init 1_500 (fun i ->
+        let dy, dx = Rr_util.Prng.gaussian2 rng in
+        let lat, lon =
+          match i mod 3 with
+          | 0 -> (30.0, -90.0)
+          | 1 -> (45.0, -120.0)
+          | _ -> (40.0, -100.0)
+        in
+        coord (lat +. (5.0 *. dy)) (lon +. (7.5 *. dx)))
+  in
+  check_pool_invariant "grid-scored bandwidth CV" (fun () ->
+      let s =
+        Rr_kde.Bandwidth.select ~max_events:1_500 ~scorer:Rr_kde.Bandwidth.Grid
+          ~candidates:[| 3.0; 12.0; 40.0; 150.0; 480.0 |] events
+      in
+      (s.Rr_kde.Bandwidth.best, s.Rr_kde.Bandwidth.scores))
+
 let () =
   let q = QCheck_alcotest.to_alcotest in
   Alcotest.run "parallel"
@@ -237,5 +259,7 @@ let () =
           Alcotest.test_case "outage simulation" `Quick test_outagesim_invariant;
           Alcotest.test_case "census fractions" `Quick test_census_invariant;
           Alcotest.test_case "abilene end-to-end" `Quick test_abilene_invariant;
+          Alcotest.test_case "grid-scored bandwidth CV" `Quick
+            test_bandwidth_cv_invariant;
         ] );
     ]
