@@ -1,9 +1,8 @@
 (* Benchmark and reproduction harness.
 
    Usage:
-     main.exe                 run every table/figure, then the Bechamel suite
+     main.exe                 run every table/figure
      main.exe <id> [<id>...]  run selected experiments (table1..fig13)
-     main.exe bechamel        run only the Bechamel microbenchmark suite
      main.exe json [file] [--label L] [--reps N] [--warmups N]
                               run the statistics suite (N warmed repetitions
                               per kernel, mean/p50/p95 + GC deltas) and write
@@ -23,15 +22,10 @@
    semantics as the CLI flags and RISKROUTE_TELEMETRY / RISKROUTE_TRACE /
    RISKROUTE_LIVE / RISKROUTE_SERIES). *)
 
-open Bechamel
-open Toolkit
-
 (* --- kernels: one named thunk per table/figure hot path ---
 
-   The same list backs both harnesses: the Bechamel suite (OLS
-   throughput estimates for humans) and the statistics suite (recorded
-   repetitions for BENCH_*.json baselines and `riskroute
-   bench-compare`). *)
+   The list backs the statistics suite (recorded repetitions for
+   BENCH_*.json baselines and `riskroute bench-compare`). *)
 
 let ctx () = Rr_engine.Context.shared ()
 
@@ -191,39 +185,6 @@ let kernels () =
   dijkstra_kernels () @ kde_kernels () @ forecast_kernels () @ census_kernels ()
   @ augment_kernels () @ ratio_kernels () @ gml_kernels ()
   @ extension_kernels () @ query_kernels () @ replay_kernels ()
-
-(* --- Bechamel microbenchmark suite --- *)
-
-let bechamel_suite () =
-  List.map (fun (name, f) -> Test.make ~name (Staged.stage f)) (kernels ())
-
-let bechamel_estimates () =
-  let tests = Test.make_grouped ~name:"riskroute" ~fmt:"%s/%s" (bechamel_suite ()) in
-  let cfg = Benchmark.cfg ~limit:2000 ~quota:(Time.second 0.5) ~kde:None () in
-  let raw = Benchmark.all cfg Instance.[ monotonic_clock ] tests in
-  let ols =
-    Analyze.ols ~r_square:false ~bootstrap:0 ~predictors:[| Measure.run |]
-  in
-  let results = Analyze.all ols Instance.monotonic_clock raw in
-  let rows =
-    Hashtbl.fold
-      (fun name v acc ->
-        match Analyze.OLS.estimates v with
-        | Some [ est ] -> (name, est) :: acc
-        | Some _ | None -> acc)
-      results []
-  in
-  List.sort compare rows
-
-let run_bechamel () =
-  print_endline "\n=== Bechamel microbenchmark suite ===";
-  List.iter
-    (fun (name, est) ->
-      if est >= 1e9 then Printf.printf "%-48s %10.2f s/run\n" name (est /. 1e9)
-      else if est >= 1e6 then Printf.printf "%-48s %10.2f ms/run\n" name (est /. 1e6)
-      else if est >= 1e3 then Printf.printf "%-48s %10.2f us/run\n" name (est /. 1e3)
-      else Printf.printf "%-48s %10.0f ns/run\n" name est)
-    (bechamel_estimates ())
 
 (* The current git revision — shared with /healthz via Rr_obs (read
    straight off .git, dependency- and subprocess-free). *)
@@ -634,9 +595,7 @@ let () =
   match extract_obs_flags (Array.to_list Sys.argv) with
   | [] | _ :: [] ->
     Rr_experiments.Report.run_all (ctx ()) ppf;
-    Format.pp_print_flush ppf ();
-    run_bechamel ()
-  | _ :: [ "bechamel" ] -> run_bechamel ()
+    Format.pp_print_flush ppf ()
   | _ :: "json" :: rest ->
     let file, reps, warmups = parse_json_args rest in
     run_json ~reps ~warmups file

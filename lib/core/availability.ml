@@ -61,16 +61,7 @@ let run ?rng ?(samples = 400) ?(pair_cap = 150) ?(mttr_hours = 12.0)
             if static_down riskroute then down_riskroute.(i) <- down_riskroute.(i) + 1;
             let reactive_down =
               endpoint_dead
-              || not
-                   (let weight u v =
-                      if Hashtbl.mem failed u || Hashtbl.mem failed v then 1e15
-                      else Env.distance_weight env u v
-                    in
-                    match
-                      Rr_graph.Dijkstra.single_pair (Env.graph env) ~weight ~src ~dst
-                    with
-                    | Some (cost, _) -> cost < 1e15
-                    | None -> false)
+              || not (Outagesim.reactive_survives env ~failed ~src ~dst)
             in
             if reactive_down then down_reactive.(i) <- down_reactive.(i) + 1)
           static

@@ -21,12 +21,15 @@ let route_avoiding env ~src ~dst ~banned_links ~banned_nodes =
       Hashtbl.replace link_banned (u, v) ();
       Hashtbl.replace link_banned (v, u) ())
     banned_links;
-  let weight u v =
+  let tgt = Env.arc_tgt env and mate = Env.arc_mate env in
+  let miles = Env.arc_miles env and risk = Env.arc_risk env in
+  let weight k =
+    let u = tgt.(mate.(k)) and v = tgt.(k) in
     if Hashtbl.mem node_banned u || Hashtbl.mem node_banned v then banned_cost
     else if Hashtbl.mem link_banned (u, v) then banned_cost
-    else Env.edge_weight env ~kappa u v
+    else miles.(k) +. (kappa *. risk.(k))
   in
-  match Rr_graph.Dijkstra.single_pair (Env.graph env) ~weight ~src ~dst with
+  match Rr_graph.Query.run ~runner:Plain (Env.query env) ~weight ~src ~dst with
   | Some (cost, path) when cost < banned_cost ->
     Some (Router.route_of_path env path)
   | Some _ | None -> None

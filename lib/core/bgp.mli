@@ -10,9 +10,10 @@
     route climbs providers, crosses at most one peering, then descends to
     customers, the export behaviour BGP policies actually produce.
 
-    Implementation: Dijkstra on the merged graph lifted to three phases
-    (climbing, peered, descending); crossing an interconnect consults the
-    AS relationship to decide which phase transitions are legal. *)
+    Implementation: Dijkstra over the merged graph's CSR arcs lifted to
+    three phases (climbing, peered, descending); crossing an
+    interconnect consults the AS relationship to decide which phase
+    transitions are legal. *)
 
 val route :
   Interdomain.t -> Env.t -> src:int -> dst:int -> Router.route option

@@ -69,14 +69,16 @@ let banned_cost = 1e15
 let route t ~config ~src ~dst =
   if config < 0 || config >= t.k then invalid_arg "Mrc.route: bad configuration";
   let kappa = Env.kappa t.env src dst in
-  let weight u v =
+  let tgt = Env.arc_tgt t.env and mate = Env.arc_mate t.env in
+  let miles = Env.arc_miles t.env and risk = Env.arc_risk t.env in
+  let weight k =
     (* no transit through isolated nodes: an isolated node may appear
        only as an endpoint of the whole path *)
     let transit_banned w = t.group.(w) = config && w <> src && w <> dst in
-    if transit_banned u || transit_banned v then banned_cost
-    else Env.edge_weight t.env ~kappa u v
+    if transit_banned tgt.(mate.(k)) || transit_banned tgt.(k) then banned_cost
+    else miles.(k) +. (kappa *. risk.(k))
   in
-  match Rr_graph.Dijkstra.single_pair (Env.graph t.env) ~weight ~src ~dst with
+  match Rr_graph.Query.run ~runner:Plain (Env.query t.env) ~weight ~src ~dst with
   | Some (cost, path) when cost < banned_cost -> Some (Router.route_of_path t.env path)
   | Some _ | None -> None
 

@@ -24,12 +24,13 @@ let link_weights ?(max_weight = max_ospf_weight) env =
 let spf_route env ~weights ~src ~dst =
   let table = Hashtbl.create (List.length weights) in
   List.iter (fun (link, w) -> Hashtbl.replace table link w) weights;
-  let weight u v =
-    match Hashtbl.find_opt table (u, v) with
+  let tgt = Env.arc_tgt env and mate = Env.arc_mate env in
+  let weight k =
+    match Hashtbl.find_opt table (tgt.(mate.(k)), tgt.(k)) with
     | Some w -> float_of_int w
     | None -> infinity
   in
-  match Rr_graph.Dijkstra.single_pair (Env.graph env) ~weight ~src ~dst with
+  match Rr_graph.Query.run ~runner:Plain (Env.query env) ~weight ~src ~dst with
   | Some (_, path) -> Some (Router.route_of_path env path)
   | None -> None
 

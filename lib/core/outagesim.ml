@@ -45,11 +45,14 @@ let c_reactive = Rr_obs.Counter.make "outagesim.reactive_checks"
 
 let reactive_survives env ~failed ~src ~dst =
   Rr_obs.Counter.incr c_reactive;
-  let weight u v =
-    if Hashtbl.mem failed u || Hashtbl.mem failed v then banned_cost
-    else Env.distance_weight env u v
+  let tgt = Env.arc_tgt env and mate = Env.arc_mate env in
+  let miles = Env.arc_miles env in
+  let weight k =
+    if Hashtbl.mem failed tgt.(mate.(k)) || Hashtbl.mem failed tgt.(k) then
+      banned_cost
+    else miles.(k)
   in
-  match Rr_graph.Dijkstra.single_pair (Env.graph env) ~weight ~src ~dst with
+  match Rr_graph.Query.run ~runner:Plain (Env.query env) ~weight ~src ~dst with
   | Some (cost, _) -> cost < banned_cost
   | None -> false
 

@@ -42,6 +42,12 @@ val sample_scenarios :
     the radius — the probabilistic geographic failure model of Agarwal et
     al. (the paper's reference [20]). *)
 
+val reactive_survives :
+  Env.t -> failed:(int, unit) Hashtbl.t -> src:int -> dst:int -> bool
+(** Whether [src] still reaches [dst] once routing reconverges around
+    the [failed] PoPs: a bit-miles search whose arcs touching a failed
+    PoP are banned. Counted in [outagesim.reactive_checks]. *)
+
 val run :
   ?rng:Rr_util.Prng.t -> ?scenario_count:int -> ?pair_cap:int ->
   ?radius_miles:float -> ?kind:Rr_disaster.Event.kind -> Env.t -> result

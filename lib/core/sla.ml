@@ -20,11 +20,11 @@ let measure env ~kappa path =
 (* Dijkstra under the aggregated weight  risk + multiplier * latency
    (multiplier in risk-per-ms). *)
 let aggregated_path env ~kappa ~multiplier ~src ~dst =
-  let weight u v =
-    (kappa *. Env.node_risk env v)
-    +. (multiplier *. propagation_ms_per_mile *. Env.link_miles env u v)
+  let miles = Env.arc_miles env and risk = Env.arc_risk env in
+  let weight k =
+    (kappa *. risk.(k)) +. (multiplier *. propagation_ms_per_mile *. miles.(k))
   in
-  match Rr_graph.Dijkstra.single_pair (Env.graph env) ~weight ~src ~dst with
+  match Rr_graph.Query.run ~runner:Plain (Env.query env) ~weight ~src ~dst with
   | Some (_, path) -> Some path
   | None -> None
 

@@ -12,6 +12,8 @@ type error =
 
 val advisory : string -> (Advisory.t, error) result
 (** Parse one advisory. Wind radii default to 0 when the corresponding
-    sentence is absent (e.g. after downgrade to a tropical storm). *)
+    sentence is absent (e.g. after downgrade to a tropical storm).
+    Total: never raises — an advisory number past [max_int] or an
+    out-of-range position is [Error (Malformed _)]. *)
 
 val error_to_string : error -> string

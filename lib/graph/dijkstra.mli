@@ -1,4 +1,5 @@
-(** Dijkstra shortest paths with a caller-supplied edge-weight function.
+(** Dijkstra shortest paths over a CSR adjacency with a caller-supplied
+    arc-weight function.
 
     This is the optimiser behind both shortest-path (bit-miles) routing and
     RiskRoute (bit-risk-miles, Eq. 3 of the paper): the two differ only in
@@ -14,8 +15,30 @@ type tree = {
     every consumer, and [Augment] aliases [dist] arrays as all-pairs
     matrix rows. Anyone relaxing a cached row must copy it first. *)
 
-val single_source : Graph.t -> weight:(int -> int -> float) -> src:int -> tree
-(** Full shortest-path tree from [src]. *)
+val search :
+  off:int array ->
+  tgt:int array ->
+  weight:(int -> float) ->
+  touch:(int -> unit) ->
+  dist:float array ->
+  parent:int array ->
+  settled:bool array ->
+  heap:int Rr_util.Heap.t ->
+  src:int ->
+  stop:int ->
+  int
+(** The shortest-path core every plain run goes through: Dijkstra from
+    [src] over a flattened CSR adjacency (see {!Graph.to_csr}), where
+    [weight] maps an {e arc index} to its non-negative weight. Works on
+    caller-provided scratch: on entry [dist]/[parent]/[settled] must
+    read [infinity]/[-1]/[false] at every node the run can reach and
+    [heap] must be empty. Seeds [src] itself, stops once node [stop]
+    is settled ([-1] runs to exhaustion), and calls [touch v] for every
+    node whose label it writes ([src] included) so a caller reusing
+    the scratch can undo exactly those entries. Returns the number of
+    nodes settled. Equal-cost ties go to the first arc relaxed, in CSR
+    arc order. Feeds the [dijkstra.*] {!Rr_obs} counters when telemetry
+    is on. *)
 
 val single_source_flat :
   n:int ->
@@ -24,19 +47,7 @@ val single_source_flat :
   weight:(int -> float) ->
   src:int ->
   tree
-(** {!single_source} over a flattened CSR adjacency (see
-    {!Graph.to_csr}); [weight] maps an {e arc index} to its weight. This
-    is the hot path used by the risk sweeps: arc targets and weights are
-    contiguous arrays, so relaxation does no list traversal and no
-    per-edge recomputation. Arc order matches {!Graph.iter_neighbors},
-    so results (including equal-cost tie-breaks) are identical to the
-    closure-weight runner. *)
-
-val single_pair :
-  Graph.t -> weight:(int -> int -> float) -> src:int -> dst:int ->
-  (float * int list) option
-(** Cost and node path (source first) from [src] to [dst]; [None] when
-    disconnected. Terminates early once [dst] is settled. *)
+(** Full shortest-path tree from [src]: {!search} on fresh arrays. *)
 
 val single_pair_flat :
   n:int ->
@@ -46,7 +57,9 @@ val single_pair_flat :
   src:int ->
   dst:int ->
   (float * int list) option
-(** {!single_pair} over a flattened CSR adjacency. *)
+(** Cost and node path (source first) from [src] to [dst]; [None] when
+    disconnected. {!search} on fresh arrays, stopping once [dst] is
+    settled. *)
 
 type repair_stats = {
   settled : int;  (** nodes settled while repairing (or by the fallback run) *)
@@ -82,6 +95,3 @@ val repair :
 
 val path_of_tree : tree -> src:int -> dst:int -> int list option
 (** Recover the node path from a tree; [None] when [dst] unreachable. *)
-
-val path_cost : weight:(int -> int -> float) -> int list -> float
-(** Total weight of a node path (0 for paths of length < 2). *)

@@ -1,15 +1,17 @@
-(* Yen's algorithm over an undirected graph with a (possibly directed)
-   weight function. Edge/node removals are expressed by wrapping the
-   weight function rather than mutating the graph; banned hops get a
-   huge-but-finite cost and any result that still uses one is
-   discarded. *)
+(* Yen's algorithm over a query's CSR geometry with a (possibly
+   directed) arc-weight function. Edge/node removals are expressed by
+   wrapping the weight function rather than mutating the graph; banned
+   hops get a huge-but-finite cost and any result that still uses one
+   is discarded. *)
 
 let banned_cost = 1e15
 
-let yen g ~weight ~src ~dst ~k =
+let yen q ~weight ~src ~dst ~k =
+  let tgt = Query.arc_tgt q and mate = Query.arc_mate q in
+  let route weight ~src = Query.run ~runner:Plain q ~weight ~src ~dst in
   if k <= 0 then []
   else
-    match Dijkstra.single_pair g ~weight ~src ~dst with
+    match route weight ~src with
     | None -> []
     | Some first ->
       let accepted = ref [ first ] in
@@ -25,7 +27,7 @@ let yen g ~weight ~src ~dst ~k =
            for i = 0 to Array.length prev - 2 do
              let spur = prev.(i) in
              let root = Array.to_list (Array.sub prev 0 (i + 1)) in
-             let root_cost = Dijkstra.path_cost ~weight root in
+             let root_cost = Query.path_cost q ~weight root in
              (* Ban the next hop of every accepted path sharing this root,
                 and every root node before the spur. *)
              let banned_edges =
@@ -43,14 +45,15 @@ let yen g ~weight ~src ~dst ~k =
              List.iteri
                (fun j v -> if j < i then Hashtbl.replace banned_nodes v ())
                root;
-             let spur_weight u v =
+             let spur_weight k =
+               let u = tgt.(mate.(k)) and v = tgt.(k) in
                if Hashtbl.mem banned_nodes u || Hashtbl.mem banned_nodes v then
                  banned_cost
                else if List.exists (fun (a, b) -> a = u && b = v) banned_edges
                then banned_cost
-               else weight u v
+               else weight k
              in
-             match Dijkstra.single_pair g ~weight:spur_weight ~src:spur ~dst with
+             match route spur_weight ~src:spur with
              | None -> ()
              | Some (spur_cost, spur_path) ->
                if spur_cost < banned_cost then begin

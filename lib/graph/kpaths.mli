@@ -5,8 +5,10 @@
     between two PoPs. *)
 
 val yen :
-  Graph.t -> weight:(int -> int -> float) -> src:int -> dst:int -> k:int ->
+  Query.t -> weight:(int -> float) -> src:int -> dst:int -> k:int ->
   (float * int list) list
 (** Up to [k] loopless paths in non-decreasing cost order (source first in
-    each path). Fewer are returned when the graph does not admit [k]
-    distinct paths. Empty when [src] and [dst] are disconnected. *)
+    each path), under an arc-weight function over the query's CSR
+    geometry; every search is a [Plain] query. Fewer are returned when
+    the graph does not admit [k] distinct paths. Empty when [src] and
+    [dst] are disconnected. *)

@@ -4,9 +4,10 @@ open Rr_util
 
    Three runners share one per-domain workspace:
 
-   - Plain: the [Dijkstra.flat_loop] kernel verbatim (same push order,
-     same strict [nd < dist] test), so costs, paths and equal-cost
-     tie-breaks are bit-identical to [Dijkstra.single_pair_flat].
+   - Plain: [Dijkstra.search] itself — the one plain relaxation loop —
+     run on this domain's forward scratch, with [touch_f] logging every
+     written label for [reset_ws]; costs, paths and equal-cost
+     tie-breaks are therefore bit-identical to [Dijkstra.single_pair_flat].
    - Bidir: bidirectional Dijkstra; the backward search weighs reverse
      arcs through the forward arc's index via the reverse-CSR mate
      array (arc weights are asymmetric: target-node risk). The final
@@ -74,6 +75,7 @@ let node_count t = t.n
 let arc_off t = t.off
 let arc_tgt t = t.tgt
 let arc_miles t = t.miles
+let arc_mate t = t.mate
 
 let set_tree_provider t provider =
   Mutex.lock t.lock;
@@ -285,45 +287,17 @@ let build_path parent ~src ~dst =
 
 let run_plain t ~weight ~src ~dst =
   let ws = get_ws t.n in
-  let dist = ws.dist_f and parent = ws.parent_f and settled = ws.settled_f in
-  let heap = ws.heap_f in
-  let off = t.off and tgt = t.tgt in
-  let settles = ref 0 in
+  let dist = ws.dist_f and parent = ws.parent_f in
   Fun.protect ~finally:(fun () -> reset_ws ws) @@ fun () ->
-  dist.(src) <- 0.0;
-  touch_f ws src;
-  Heap.push heap 0.0 src;
-  let finished = ref false in
-  while (not !finished) && not (Heap.is_empty heap) do
-    let d = Heap.min_key heap in
-    let u = Heap.min_elt heap in
-    Heap.drop_min heap;
-    if not settled.(u) then begin
-      settled.(u) <- true;
-      incr settles;
-      if u = dst then finished := true
-      else
-        for k = Array.unsafe_get off u to Array.unsafe_get off (u + 1) - 1 do
-          let v = Array.unsafe_get tgt k in
-          if not (Array.unsafe_get settled v) then begin
-            let w = weight k in
-            if w < 0.0 then invalid_arg "Dijkstra: negative edge weight";
-            let nd = d +. w in
-            if nd < Array.unsafe_get dist v then begin
-              Array.unsafe_set dist v nd;
-              Array.unsafe_set parent v u;
-              Heap.push heap nd v;
-              touch_f ws v
-            end
-          end
-        done
-    end
-  done;
+  let settles =
+    Dijkstra.search ~off:t.off ~tgt:t.tgt ~weight ~touch:(touch_f ws) ~dist
+      ~parent ~settled:ws.settled_f ~heap:ws.heap_f ~src ~stop:dst
+  in
   let result =
     if dist.(dst) = infinity then None
     else Some (dist.(dst), build_path parent ~src ~dst)
   in
-  (result, !settles)
+  (result, settles)
 
 (* Arc index of (a, b); exists whenever b was reached from a. *)
 let find_arc t a b =
@@ -336,7 +310,7 @@ let find_arc t a b =
 (* Left-fold of forward arc weights along [path] — the exact float
    association the plain runner accumulates, so recomputed bidirectional
    costs match it bitwise. *)
-let fold_path_cost t ~weight path =
+let path_cost t ~weight path =
   let rec go acc = function
     | a :: (b :: _ as rest) -> go (acc +. weight (find_arc t a b)) rest
     | [ _ ] | [] -> acc
@@ -433,7 +407,7 @@ let run_bidir t ~weight ~src ~dst =
         if !meet = dst then forward
         else forward @ List.tl (extend [] !meet)
       in
-      Some (fold_path_cost t ~weight path, path)
+      Some (path_cost t ~weight path, path)
     end
   in
   (result, !settles)

@@ -1,19 +1,22 @@
 (** Point-to-point shortest-path queries with goal direction.
 
     A query object wraps one CSR geometry (offsets, targets, per-arc
-    bit-miles) and serves single-pair queries under any arc-weight
-    function that {e dominates} bit-miles ([weight k >= arc_miles k],
-    true of every RiskRoute objective: risk only adds non-negative
-    weight). Three runners are available:
+    bit-miles) and serves single-pair queries. Three runners are
+    available:
 
-    - {e plain} — the {!Dijkstra.single_pair_flat} kernel;
+    - {e plain} — {!Dijkstra.search}, the one plain relaxation loop,
+      run on the per-domain scratch below; any non-negative weight;
     - {e bidir} — bidirectional Dijkstra, expanding whichever frontier
       has the smaller top key; the backward search weighs reverse arcs
       through the forward arc index via {!Graph.csr_mates};
     - {e alt} — A* with landmark lower bounds (ALT): ~16 landmarks
       chosen by farthest-point selection over bit-miles, their full
       distance trees reused across every weight function on the same
-      geometry.
+      geometry. Needs a weight that {e dominates} bit-miles
+      ([weight k >= arc_miles k], true of every RiskRoute objective:
+      risk only adds non-negative weight). Callers with other weights
+      (integer OSPF costs, scaled latency, banned-arc penalties below
+      miles) pass [~runner:Plain] rather than trust {!choose}.
 
     All three return bit-identical (cost, path) answers: costs are the
     same left-fold of arc weights the plain kernel accumulates, and
@@ -44,6 +47,17 @@ val node_count : t -> int
 val arc_off : t -> int array
 val arc_tgt : t -> int array
 val arc_miles : t -> float array
+
+val arc_mate : t -> int array
+(** Reverse-arc pairing ({!Graph.csr_mates}): [mate.(k)] is the opposite
+    direction of arc [k], so the source of arc [k] is
+    [(arc_tgt t).(mate.(k))]. *)
+
+val path_cost : t -> weight:(int -> float) -> int list -> float
+(** Total weight of a node path (0 for paths of length < 2): the
+    left-fold of arc weights the runners accumulate, so it matches their
+    costs bitwise. Raises [Invalid_argument] when two consecutive nodes
+    are not adjacent. *)
 
 val set_tree_provider : t -> (int -> Dijkstra.tree) -> unit
 (** Route landmark distance-tree computation through an external cache

@@ -319,9 +319,11 @@ let test_augment_candidates_rule () =
       Alcotest.(check bool) "not an existing edge" false
         (Rr_graph.Graph.has_edge (Env.graph env) u v);
       let direct = Env.link_miles env u v in
+      let miles = Env.arc_miles env in
       let tree =
-        Rr_graph.Dijkstra.single_pair (Env.graph env)
-          ~weight:(fun a b -> Env.link_miles env a b)
+        Rr_graph.Dijkstra.single_pair_flat ~n:(Env.node_count env)
+          ~off:(Env.arc_off env) ~tgt:(Env.arc_tgt env)
+          ~weight:(fun k -> miles.(k))
           ~src:u ~dst:v
       in
       match tree with

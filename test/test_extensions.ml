@@ -18,7 +18,20 @@ let diamond ?(extra = []) () =
 
 (* --- Kpaths (Yen) --- *)
 
-let grid_graph () =
+(* A graph as a query over its CSR snapshot. *)
+let query_of g =
+  let off, tgt = Rr_graph.Graph.to_csr g in
+  Rr_graph.Query.create ~n:(Rr_graph.Graph.node_count g) ~off ~tgt
+    ~miles:(Array.make (Array.length tgt) 0.0)
+    ()
+
+(* A node-pair weight lifted onto the query's arcs (the source of arc
+   [k] is the target of its mate). *)
+let arc_weight q weight =
+  let tgt = Rr_graph.Query.arc_tgt q and mate = Rr_graph.Query.arc_mate q in
+  fun k -> weight tgt.(mate.(k)) tgt.(k)
+
+let grid_query () =
   (* 3x3 grid, nodes row-major *)
   let g = Rr_graph.Graph.create 9 in
   for r = 0 to 2 do
@@ -28,21 +41,21 @@ let grid_graph () =
       if r < 2 then Rr_graph.Graph.add_edge g v (v + 3)
     done
   done;
-  g
+  query_of g
 
 let test_yen_first_is_shortest () =
-  let g = grid_graph () in
-  let weight _ _ = 1.0 in
-  match Rr_graph.Kpaths.yen g ~weight ~src:0 ~dst:8 ~k:5 with
+  let q = grid_query () in
+  let weight _ = 1.0 in
+  match Rr_graph.Kpaths.yen q ~weight ~src:0 ~dst:8 ~k:5 with
   | (cost, path) :: _ ->
     Alcotest.(check (float 1e-9)) "4 hops" 4.0 cost;
     Alcotest.(check int) "5 nodes" 5 (List.length path)
   | [] -> Alcotest.fail "connected"
 
 let test_yen_sorted_and_distinct () =
-  let g = grid_graph () in
-  let weight u v = 1.0 +. (0.01 *. float_of_int (u + v)) in
-  let paths = Rr_graph.Kpaths.yen g ~weight ~src:0 ~dst:8 ~k:6 in
+  let q = grid_query () in
+  let weight = arc_weight q (fun u v -> 1.0 +. (0.01 *. float_of_int (u + v))) in
+  let paths = Rr_graph.Kpaths.yen q ~weight ~src:0 ~dst:8 ~k:6 in
   Alcotest.(check int) "six paths" 6 (List.length paths);
   let costs = List.map fst paths in
   Alcotest.(check bool) "non-decreasing" true
@@ -51,31 +64,32 @@ let test_yen_sorted_and_distinct () =
   Alcotest.(check int) "distinct" 6 (List.length distinct)
 
 let test_yen_costs_match_paths () =
-  let g = grid_graph () in
-  let weight u v = float_of_int (1 + ((u * v) mod 3)) in
+  let q = grid_query () in
+  let weight = arc_weight q (fun u v -> float_of_int (1 + ((u * v) mod 3))) in
   List.iter
     (fun (cost, path) ->
       Alcotest.(check (float 1e-9)) "cost consistent" cost
-        (Rr_graph.Dijkstra.path_cost ~weight path))
-    (Rr_graph.Kpaths.yen g ~weight ~src:0 ~dst:8 ~k:8)
+        (Rr_graph.Query.path_cost q ~weight path))
+    (Rr_graph.Kpaths.yen q ~weight ~src:0 ~dst:8 ~k:8)
 
 let test_yen_loopless () =
-  let g = grid_graph () in
+  let q = grid_query () in
   List.iter
     (fun (_, path) ->
       Alcotest.(check int) "no repeats" (List.length path)
         (List.length (List.sort_uniq compare path)))
-    (Rr_graph.Kpaths.yen g ~weight:(fun _ _ -> 1.0) ~src:0 ~dst:8 ~k:10)
+    (Rr_graph.Kpaths.yen q ~weight:(fun _ -> 1.0) ~src:0 ~dst:8 ~k:10)
 
 let test_yen_exhausts () =
   (* a path graph has exactly one loopless route *)
-  let g = Rr_graph.Graph.of_edges 3 [ (0, 1); (1, 2) ] in
+  let q = query_of (Rr_graph.Graph.of_edges 3 [ (0, 1); (1, 2) ]) in
   Alcotest.(check int) "single path" 1
-    (List.length (Rr_graph.Kpaths.yen g ~weight:(fun _ _ -> 1.0) ~src:0 ~dst:2 ~k:5));
+    (List.length (Rr_graph.Kpaths.yen q ~weight:(fun _ -> 1.0) ~src:0 ~dst:2 ~k:5));
   Alcotest.(check int) "disconnected" 0
     (List.length
-       (Rr_graph.Kpaths.yen (Rr_graph.Graph.create 2) ~weight:(fun _ _ -> 1.0)
-          ~src:0 ~dst:1 ~k:3))
+       (Rr_graph.Kpaths.yen
+          (query_of (Rr_graph.Graph.create 2))
+          ~weight:(fun _ -> 1.0) ~src:0 ~dst:1 ~k:3))
 
 (* --- Pareto --- *)
 

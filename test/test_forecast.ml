@@ -42,6 +42,17 @@ let test_parse_missing_center () =
   | Error Rr_forecast.Parse.Missing_storm_name -> ()
   | _ -> Alcotest.fail "expected Missing_storm_name"
 
+let test_parse_number_overflow () =
+  (* An advisory number past max_int is malformed input, not a crash. *)
+  let text =
+    "HURRICANE IRENE ADVISORY NUMBER 99999999999999999999 LATITUDE 35.2 \
+     NORTH LONGITUDE 76.4 WEST"
+  in
+  match Rr_forecast.Parse.advisory text with
+  | Error (Rr_forecast.Parse.Malformed _) -> ()
+  | Ok _ -> Alcotest.fail "expected Malformed, parsed"
+  | Error e -> Alcotest.fail (Rr_forecast.Parse.error_to_string e)
+
 let test_parse_tropical_storm_header () =
   let text =
     "TROPICAL STORM ZETA ADVISORY NUMBER 7\n\
@@ -347,6 +358,8 @@ let () =
         [
           Alcotest.test_case "paper excerpt" `Quick test_parse_paper_excerpt;
           Alcotest.test_case "missing pieces" `Quick test_parse_missing_center;
+          Alcotest.test_case "advisory number overflow" `Quick
+            test_parse_number_overflow;
           Alcotest.test_case "tropical storm header" `Quick test_parse_tropical_storm_header;
           Alcotest.test_case "lower-case input" `Quick test_parse_lowercase_input;
         ] );

@@ -72,6 +72,31 @@ let test_csr_mates_involution () =
 
 (* --- Dijkstra --- *)
 
+(* A graph in CSR form plus a node-pair weight lifted onto its arcs (the
+   source of arc [k] is the target of its mate). *)
+let flat g weight =
+  let off, tgt = Graph.to_csr g in
+  let mate = Graph.csr_mates ~off ~tgt in
+  (Graph.node_count g, off, tgt, fun k -> weight tgt.(mate.(k)) tgt.(k))
+
+let query_of g =
+  let off, tgt = Graph.to_csr g in
+  Query.create ~n:(Graph.node_count g) ~off ~tgt
+    ~miles:(Array.make (Array.length tgt) 0.0)
+    ()
+
+let single_source g ~weight ~src =
+  let n, off, tgt, weight = flat g weight in
+  Dijkstra.single_source_flat ~n ~off ~tgt ~weight ~src
+
+let single_pair g ~weight ~src ~dst =
+  let n, off, tgt, weight = flat g weight in
+  Dijkstra.single_pair_flat ~n ~off ~tgt ~weight ~src ~dst
+
+let path_cost g ~weight path =
+  let _, _, _, weight = flat g weight in
+  Query.path_cost (query_of g) ~weight path
+
 let line_graph weights =
   (* 0 -1- 2 -... chain with given weights *)
   let n = Array.length weights + 1 in
@@ -87,7 +112,7 @@ let line_graph weights =
 
 let test_dijkstra_chain () =
   let g, weight = line_graph [| 1.0; 2.0; 3.0 |] in
-  let tree = Dijkstra.single_source g ~weight ~src:0 in
+  let tree = single_source g ~weight ~src:0 in
   Alcotest.(check (float 1e-9)) "dist to 3" 6.0 tree.Dijkstra.dist.(3);
   Alcotest.(check (option (list int))) "path" (Some [ 0; 1; 2; 3 ])
     (Dijkstra.path_of_tree tree ~src:0 ~dst:3)
@@ -100,7 +125,7 @@ let test_dijkstra_picks_cheaper () =
     | 0, 1 | 1, 3 -> 1.0
     | _ -> 5.0
   in
-  match Dijkstra.single_pair g ~weight ~src:0 ~dst:3 with
+  match single_pair g ~weight ~src:0 ~dst:3 with
   | Some (cost, path) ->
     Alcotest.(check (float 1e-9)) "cost" 2.0 cost;
     Alcotest.(check (list int)) "path" [ 0; 1; 3 ] path
@@ -110,15 +135,15 @@ let test_dijkstra_disconnected () =
   let g = Graph.of_edges 4 [ (0, 1) ] in
   let weight _ _ = 1.0 in
   Alcotest.(check bool) "no path" true
-    (Dijkstra.single_pair g ~weight ~src:0 ~dst:3 = None);
-  let tree = Dijkstra.single_source g ~weight ~src:0 in
+    (single_pair g ~weight ~src:0 ~dst:3 = None);
+  let tree = single_source g ~weight ~src:0 in
   Alcotest.(check bool) "inf dist" true (tree.Dijkstra.dist.(3) = infinity);
   Alcotest.(check (option (list int))) "no tree path" None
     (Dijkstra.path_of_tree tree ~src:0 ~dst:3)
 
 let test_dijkstra_src_eq_dst () =
   let g = Graph.of_edges 2 [ (0, 1) ] in
-  match Dijkstra.single_pair g ~weight:(fun _ _ -> 1.0) ~src:0 ~dst:0 with
+  match single_pair g ~weight:(fun _ _ -> 1.0) ~src:0 ~dst:0 with
   | Some (cost, path) ->
     Alcotest.(check (float 1e-9)) "zero" 0.0 cost;
     Alcotest.(check (list int)) "trivial path" [ 0 ] path
@@ -128,21 +153,22 @@ let test_dijkstra_negative_weight () =
   let g = Graph.of_edges 2 [ (0, 1) ] in
   Alcotest.check_raises "rejects negative"
     (Invalid_argument "Dijkstra: negative edge weight") (fun () ->
-      ignore (Dijkstra.single_pair g ~weight:(fun _ _ -> -1.0) ~src:0 ~dst:1))
+      ignore (single_pair g ~weight:(fun _ _ -> -1.0) ~src:0 ~dst:1))
 
 let test_dijkstra_directional_weight () =
   (* asymmetric weight: going 0 -> 1 costs 1, 1 -> 0 costs 10 *)
   let g = Graph.of_edges 2 [ (0, 1) ] in
   let weight u v = if u < v then 1.0 else 10.0 in
-  let c01 = Option.get (Dijkstra.single_pair g ~weight ~src:0 ~dst:1) in
-  let c10 = Option.get (Dijkstra.single_pair g ~weight ~src:1 ~dst:0) in
+  let c01 = Option.get (single_pair g ~weight ~src:0 ~dst:1) in
+  let c10 = Option.get (single_pair g ~weight ~src:1 ~dst:0) in
   Alcotest.(check (float 1e-9)) "forward" 1.0 (fst c01);
   Alcotest.(check (float 1e-9)) "backward" 10.0 (fst c10)
 
 let test_path_cost () =
+  let g = Graph.of_edges 8 [ (0, 1); (1, 2) ] in
   let weight u v = float_of_int (u + v) in
-  Alcotest.(check (float 1e-9)) "sum" 4.0 (Dijkstra.path_cost ~weight [ 0; 1; 2 ]);
-  Alcotest.(check (float 1e-9)) "singleton" 0.0 (Dijkstra.path_cost ~weight [ 7 ])
+  Alcotest.(check (float 1e-9)) "sum" 4.0 (path_cost g ~weight [ 0; 1; 2 ]);
+  Alcotest.(check (float 1e-9)) "singleton" 0.0 (path_cost g ~weight [ 7 ])
 
 (* brute-force Bellman-Ford-ish reference for random graphs *)
 let brute_force_dist g ~weight ~src =
@@ -166,10 +192,11 @@ let random_graph_gen =
     let edges = List.filter (fun (u, v) -> u <> v) edges in
     return (n, edges))
 
-let arb_random_graph =
-  QCheck.make random_graph_gen ~print:(fun (n, edges) ->
-      Printf.sprintf "n=%d edges=[%s]" n
-        (String.concat ";" (List.map (fun (u, v) -> Printf.sprintf "(%d,%d)" u v) edges)))
+let print_graph (n, edges) =
+  Printf.sprintf "n=%d edges=[%s]" n
+    (String.concat ";" (List.map (fun (u, v) -> Printf.sprintf "(%d,%d)" u v) edges))
+
+let arb_random_graph = QCheck.make random_graph_gen ~print:print_graph
 
 let dijkstra_matches_brute_force =
   QCheck.Test.make ~name:"dijkstra equals brute force on random graphs" ~count:200
@@ -177,7 +204,7 @@ let dijkstra_matches_brute_force =
     (fun (n, edges) ->
       let g = Graph.of_edges n edges in
       let weight u v = float_of_int (((u * 7) + (v * 13)) mod 19) +. 1.0 in
-      let tree = Dijkstra.single_source g ~weight ~src:0 in
+      let tree = single_source g ~weight ~src:0 in
       let reference = brute_force_dist g ~weight ~src:0 in
       Array.for_all2
         (fun a b -> (a = infinity && b = infinity) || Float.abs (a -. b) < 1e-6)
@@ -189,12 +216,85 @@ let single_pair_consistent =
     (fun (n, edges) ->
       let g = Graph.of_edges n edges in
       let weight u v = float_of_int (((u * 3) + (v * 5)) mod 11) +. 0.5 in
-      match Dijkstra.single_pair g ~weight ~src:0 ~dst:(n - 1) with
+      match single_pair g ~weight ~src:0 ~dst:(n - 1) with
       | None -> true
       | Some (cost, path) ->
-        Float.abs (cost -. Dijkstra.path_cost ~weight path) < 1e-9
+        Float.abs (cost -. path_cost g ~weight path) < 1e-9
         && List.hd path = 0
         && List.nth path (List.length path - 1) = n - 1)
+
+(* The adjacency-list runner the CSR core replaced, kept as the
+   tie-order reference: Dijkstra over [Graph.iter_neighbors] with a
+   node-pair weight, returning (dist, parent). *)
+let list_runner g ~weight ~src =
+  let module Heap = Rr_util.Heap in
+  let n = Graph.node_count g in
+  let dist = Array.make n infinity and parent = Array.make n (-1) in
+  let settled = Array.make n false in
+  let heap = Heap.create () in
+  dist.(src) <- 0.0;
+  Heap.push heap 0.0 src;
+  while not (Heap.is_empty heap) do
+    let d = Heap.min_key heap and u = Heap.min_elt heap in
+    Heap.drop_min heap;
+    if not settled.(u) then begin
+      settled.(u) <- true;
+      Graph.iter_neighbors g u (fun v ->
+          if not settled.(v) then begin
+            let nd = d +. weight u v in
+            if nd < dist.(v) then begin
+              dist.(v) <- nd;
+              parent.(v) <- u;
+              Heap.push heap nd v
+            end
+          end)
+    end
+  done;
+  (dist, parent)
+
+let bits = Int64.bits_of_float
+
+(* Small-integer asymmetric weights (0..3, drawn per ordered node pair)
+   make equal-cost ties common, so any drift in relaxation or settle
+   order shows up as a different parent. *)
+let arb_tie_graph =
+  QCheck.make
+    QCheck.Gen.(
+      random_graph_gen >>= fun (n, edges) ->
+      array_size (return (n * n)) (int_bound 3) >>= fun w -> return (n, edges, w))
+    ~print:(fun (n, edges, _) -> print_graph (n, edges))
+
+let csr_runners_keep_list_tie_order =
+  QCheck.Test.make ~name:"CSR runners keep the list runner's tie order"
+    ~count:300 arb_tie_graph
+    (fun (n, edges, w) ->
+      let g = Graph.of_edges n edges in
+      let weight u v = float_of_int w.((u * n) + v) in
+      let ref_dist, ref_parent = list_runner g ~weight ~src:0 in
+      let tree = single_source g ~weight ~src:0 in
+      let q = query_of g in
+      let _, _, _, arc_weight = flat g weight in
+      Array.for_all2 (fun a b -> bits a = bits b) ref_dist tree.Dijkstra.dist
+      && ref_parent = tree.Dijkstra.parent
+      && List.for_all
+           (fun dst ->
+             (* The pair answer a fresh list run implies: stopping early
+                cannot change labels that are already settled. *)
+             let expect =
+               Dijkstra.path_of_tree { Dijkstra.dist = ref_dist; parent = ref_parent }
+                 ~src:0 ~dst
+               |> Option.map (fun path -> (ref_dist.(dst), path))
+             in
+             let same = function
+               | None -> expect = None
+               | Some (c, p) -> (
+                 match expect with
+                 | Some (c', p') -> bits c = bits c' && p = p'
+                 | None -> false)
+             in
+             same (single_pair g ~weight ~src:0 ~dst)
+             && same (Query.run ~runner:Plain q ~weight:arc_weight ~src:0 ~dst))
+           (List.init n Fun.id))
 
 (* --- Component --- *)
 
@@ -268,8 +368,6 @@ let mst_always_spanning =
       Component.is_connected g && Graph.edge_count g = n - 1)
 
 (* --- Dijkstra.repair: incremental SSSP vs fresh recompute, bitwise --- *)
-
-let bits = Int64.bits_of_float
 
 (* Random connected graph as CSR, plus the arc-source table repair's
    [changed] entries need. *)
@@ -472,6 +570,7 @@ let () =
           Alcotest.test_case "path cost" `Quick test_path_cost;
           QCheck_alcotest.to_alcotest dijkstra_matches_brute_force;
           QCheck_alcotest.to_alcotest single_pair_consistent;
+          QCheck_alcotest.to_alcotest csr_runners_keep_list_tie_order;
         ] );
       ( "repair",
         [

@@ -667,6 +667,29 @@ let test_engine_counters_flow () =
   Alcotest.(check bool) "parallel.tasks advanced" true
     (Rr_obs.Counter.value tasks > t0)
 
+(* Plain pair queries run the shared Dijkstra core, so they feed the
+   dijkstra.* kernel counters like every other plain search. *)
+let test_plain_query_counts_dijkstra () =
+  with_telemetry @@ fun () ->
+  let runs = Rr_obs.Counter.make "dijkstra.runs" in
+  let relax = Rr_obs.Counter.make "dijkstra.relaxations" in
+  let env = small_env () in
+  let miles = Env.arc_miles env in
+  let r0 = Rr_obs.Counter.value runs and x0 = Rr_obs.Counter.value relax in
+  let result, runner, settled =
+    Rr_graph.Query.run_stats ~runner:Plain (Env.query env)
+      ~weight:(fun k -> miles.(k))
+      ~src:0 ~dst:4
+  in
+  Alcotest.(check bool) "routed" true (result <> None);
+  Alcotest.(check string) "plain runner" "plain"
+    (Rr_graph.Query.runner_name runner);
+  Alcotest.(check bool) "settled nodes" true (settled > 0);
+  Alcotest.(check int) "dijkstra.runs advanced by one" (r0 + 1)
+    (Rr_obs.Counter.value runs);
+  Alcotest.(check bool) "dijkstra.relaxations advanced" true
+    (Rr_obs.Counter.value relax > x0)
+
 (* --- quantile property: bucket quantiles vs exact reference ---
 
    Because [bucket_index] is monotone, the bucket-rank quantile is fully
@@ -981,6 +1004,8 @@ let () =
         [
           Alcotest.test_case "engine counters flow" `Quick
             test_engine_counters_flow;
+          Alcotest.test_case "plain queries count as dijkstra runs" `Quick
+            test_plain_query_counts_dijkstra;
           Alcotest.test_case "results unchanged by telemetry" `Quick
             test_results_unchanged_by_telemetry;
         ] );

@@ -59,14 +59,32 @@ let arb_graph =
       >>= fun edges -> return (n, List.filter (fun (u, v) -> u <> v) edges))
     ~print:(fun (n, edges) -> Printf.sprintf "n=%d m=%d" n (List.length edges))
 
+(* A graph as a query over its CSR snapshot, plus a node-pair weight
+   lifted onto the arcs (the source of arc [k] is the target of its
+   mate). *)
+let query_of g =
+  let off, tgt = Rr_graph.Graph.to_csr g in
+  Rr_graph.Query.create ~n:(Rr_graph.Graph.node_count g) ~off ~tgt
+    ~miles:(Array.make (Array.length tgt) 0.0)
+    ()
+
+let arc_weight q weight =
+  let tgt = Rr_graph.Query.arc_tgt q and mate = Rr_graph.Query.arc_mate q in
+  fun k -> weight tgt.(mate.(k)) tgt.(k)
+
 let early_exit_matches_full =
   QCheck.Test.make ~name:"single_pair equals single_source distance" ~count:200
     arb_graph
     (fun (n, edges) ->
-      let g = Rr_graph.Graph.of_edges n edges in
-      let weight u v = 1.0 +. float_of_int ((u + (2 * v)) mod 7) in
-      let tree = Rr_graph.Dijkstra.single_source g ~weight ~src:0 in
-      match Rr_graph.Dijkstra.single_pair g ~weight ~src:0 ~dst:(n - 1) with
+      let q = query_of (Rr_graph.Graph.of_edges n edges) in
+      let off = Rr_graph.Query.arc_off q and tgt = Rr_graph.Query.arc_tgt q in
+      let weight =
+        arc_weight q (fun u v -> 1.0 +. float_of_int ((u + (2 * v)) mod 7))
+      in
+      let tree = Rr_graph.Dijkstra.single_source_flat ~n ~off ~tgt ~weight ~src:0 in
+      match
+        Rr_graph.Dijkstra.single_pair_flat ~n ~off ~tgt ~weight ~src:0 ~dst:(n - 1)
+      with
       | None -> tree.Rr_graph.Dijkstra.dist.(n - 1) = infinity
       | Some (cost, _) -> Float.abs (cost -. tree.Rr_graph.Dijkstra.dist.(n - 1)) < 1e-9)
 
@@ -85,9 +103,9 @@ let yen_paths_sorted =
   QCheck.Test.make ~name:"yen returns sorted, loopless, distinct paths" ~count:100
     arb_graph
     (fun (n, edges) ->
-      let g = Rr_graph.Graph.of_edges n edges in
-      let weight u v = 1.0 +. float_of_int ((u * v) mod 5) in
-      let paths = Rr_graph.Kpaths.yen g ~weight ~src:0 ~dst:(n - 1) ~k:5 in
+      let q = query_of (Rr_graph.Graph.of_edges n edges) in
+      let weight = arc_weight q (fun u v -> 1.0 +. float_of_int ((u * v) mod 5)) in
+      let paths = Rr_graph.Kpaths.yen q ~weight ~src:0 ~dst:(n - 1) ~k:5 in
       let costs = List.map fst paths in
       let node_paths = List.map snd paths in
       List.sort Float.compare costs = costs
