@@ -5,7 +5,8 @@
      main.exe <id> [<id>...]  run selected experiments (table1..fig13)
      main.exe json [file] [--label L] [--reps N] [--warmups N]
                               run the statistics suite (N warmed repetitions
-                              per kernel, mean/p50/p95 + GC deltas) and write
+                              per kernel, mean/p50/p95 + GC deltas and
+                              GC pause quantiles) and write
                               it as JSON (default BENCH.json, or
                               BENCH_<label>.json with --label)
      main.exe report-twice    run the full report twice in one process and
@@ -203,24 +204,13 @@ let git_rev () = Rr_obs.git_rev ()
 let cache_totals (s : Rr_engine.Context.stats) =
   (s.env_hits + s.tree_hits, s.env_misses + s.tree_misses)
 
-(* GC pause quantiles (ns) from the Runtime_events consumer; all-zero
-   when the consumer never ran (no --series) or recorded nothing. *)
-let gc_pause_quantiles name =
-  ignore (Rr_obs.Rte.poll ());
-  let s = Rr_obs.Histogram.snapshot (Rr_obs.Histogram.make name) in
-  let q p =
-    let v = Rr_obs.Histogram.quantile s p *. 1e9 in
-    if Float.is_nan v then 0.0 else v
-  in
-  (q 0.5, q 0.99)
-
 let run_json ~reps ~warmups file =
   let ctx = ctx () in
   let h0, m0 = cache_totals (Rr_engine.Context.stats ctx) in
-  let results = Rr_perf.Harness.measure ~warmups ~reps (kernels ()) in
+  let results, pauses =
+    Rr_perf.Harness.measure_with_pauses ~warmups ~reps (kernels ())
+  in
   let h1, m1 = cache_totals (Rr_engine.Context.stats ctx) in
-  let minor_p50, minor_p99 = gc_pause_quantiles Rr_obs.Rte.minor_name in
-  let major_p50, major_p99 = gc_pause_quantiles Rr_obs.Rte.major_name in
   let meta =
     {
       Rr_perf.Benchfile.schema = Rr_perf.Benchfile.schema;
@@ -238,10 +228,10 @@ let run_json ~reps ~warmups file =
       tree_cache_cap = Rr_engine.Context.tree_cache_capacity ctx;
       topology_pops =
         String.concat "," (List.map string_of_int query_pop_sizes);
-      gc_minor_pause_p50_ns = minor_p50;
-      gc_minor_pause_p99_ns = minor_p99;
-      gc_major_pause_p50_ns = major_p50;
-      gc_major_pause_p99_ns = major_p99;
+      gc_minor_pause_p50_ns = pauses.minor_p50_ns;
+      gc_minor_pause_p99_ns = pauses.minor_p99_ns;
+      gc_major_pause_p50_ns = pauses.major_p50_ns;
+      gc_major_pause_p99_ns = pauses.major_p99_ns;
     }
   in
   Rr_perf.Benchfile.write file { Rr_perf.Benchfile.meta; results };

@@ -87,23 +87,26 @@ let regional_nodes t =
 
 let peering_link_count t = t.peering_links
 
-let with_extra_peering t ~net_a ~net_b =
+let peering_arcs t ~net_a ~net_b =
   let nets = t.peering.Rr_topology.Peering.nets in
-  let graph = Rr_graph.Graph.copy t.graph in
-  let added = ref 0 in
-  let pairs =
-    Rr_topology.Colocation.pairs ~threshold_miles:t.threshold_miles nets.(net_a)
-      nets.(net_b)
-  in
-  List.iter
+  let seen = Hashtbl.create 16 in
+  List.filter_map
     (fun (i, j) ->
       let u = t.offsets.(net_a) + i and v = t.offsets.(net_b) + j in
-      if not (Rr_graph.Graph.has_edge graph u v) then begin
-        Rr_graph.Graph.add_edge graph u v;
-        incr added
+      let key = (min u v, max u v) in
+      if Rr_graph.Graph.has_edge t.graph u v || Hashtbl.mem seen key then None
+      else begin
+        Hashtbl.add seen key ();
+        Some (u, v)
       end)
-    pairs;
-  { t with graph; peering_links = t.peering_links + !added }
+    (Rr_topology.Colocation.pairs ~threshold_miles:t.threshold_miles nets.(net_a)
+       nets.(net_b))
+
+let with_extra_peering t ~net_a ~net_b =
+  let arcs = peering_arcs t ~net_a ~net_b in
+  let graph = Rr_graph.Graph.copy t.graph in
+  List.iter (fun (u, v) -> Rr_graph.Graph.add_edge graph u v) arcs;
+  { t with graph; peering_links = t.peering_links + List.length arcs }
 
 let env ?(params = Params.default) ?riskmap ?advisory t =
   let riskmap =

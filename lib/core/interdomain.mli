@@ -33,11 +33,16 @@ val regional_nodes : t -> int array
 val peering_link_count : t -> int
 (** Physical interconnects added on top of the member topologies. *)
 
+val peering_arcs : t -> net_a:int -> net_b:int -> (int * int) list
+(** The links a new peering between two member networks would add:
+    merged node pairs [(u, v)], [u] of [net_a] and [v] of [net_b], one
+    per co-located PoP pair that is not already an edge, without
+    duplicates, in {!Rr_topology.Colocation.pairs} order. *)
+
 val with_extra_peering :
   t -> net_a:int -> net_b:int -> t
 (** Copy of the merged graph with a new peering between two member
-    networks (links at all their co-located PoP pairs) — the candidate
-    evaluation step of {!Peer_advisor}. *)
+    networks: the graph plus {!peering_arcs}. *)
 
 val env :
   ?params:Params.t ->

@@ -272,3 +272,43 @@ let single_pair_flat ~n ~off ~tgt ~weight ~src ~dst =
   else
     let tree = run_flat ~n ~off ~tgt ~weight ~src ~stop:dst in
     Option.map (fun path -> (tree.dist.(dst), path)) (path_of_tree tree ~src ~dst)
+
+(* Arc insertion on top of a [search]. Every label is the cost of a real
+   path, and IEEE addition is monotone, so a label only ever needs to go
+   down: seed the heads of the inserted arcs that improve on their
+   resident label, then run a lazy-deletion heap loop that accepts a
+   relaxation only below both the resident label and the current
+   [dist.(stop)]. Anything at or above [dist.(stop)] cannot improve
+   [stop], which is why the labels a [search] left unsettled (all at or
+   above [dist.(stop)] when it stopped) are safe to start from. *)
+let propagate_inserted ~off ~tgt ~weight ~dist ~heap ~inserted ~stop =
+  let bound () = if stop >= 0 then Array.unsafe_get dist stop else infinity in
+  let lower v nd =
+    if nd < dist.(v) && nd < bound () then begin
+      dist.(v) <- nd;
+      Heap.push heap nd v
+    end
+  in
+  Array.iter
+    (fun (k, u) ->
+      let w = weight k in
+      if w < 0.0 then invalid_arg "Dijkstra: negative edge weight";
+      lower tgt.(k) (dist.(u) +. w))
+    inserted;
+  let expanded = ref 0 and finished = ref false in
+  while (not !finished) && not (Heap.is_empty heap) do
+    let d = Heap.min_key heap in
+    let u = Heap.min_elt heap in
+    Heap.drop_min heap;
+    if d >= bound () then finished := true
+    else if d = dist.(u) then begin
+      incr expanded;
+      for k = off.(u) to off.(u + 1) - 1 do
+        let w = weight k in
+        if w < 0.0 then invalid_arg "Dijkstra: negative edge weight";
+        lower tgt.(k) (d +. w)
+      done
+    end
+  done;
+  Heap.clear heap;
+  !expanded

@@ -40,6 +40,27 @@ val search :
     arc order. Feeds the [dijkstra.*] {!Rr_obs} counters when telemetry
     is on. *)
 
+val propagate_inserted :
+  off:int array ->
+  tgt:int array ->
+  weight:(int -> float) ->
+  dist:float array ->
+  heap:int Rr_util.Heap.t ->
+  inserted:(int * int) array ->
+  stop:int ->
+  int
+(** Arc insertion after a {!search}: [dist] holds the labels a
+    [search ~stop] (or a full run, [stop = -1]) left over a graph without
+    the [inserted] arcs, given here as [(arc index, arc source)] of this
+    CSR, whose other arcs must carry the same weights as that graph's.
+    Lowers [dist] in place so that [dist.(stop)] (every label, when
+    [stop = -1]) is bitwise the label a fresh {!search} over this CSR
+    would settle: a label is the minimum over paths of the left-folded
+    float cost, unique whatever the tie order. Labels other than
+    [dist.(stop)] are left as upper bounds; no parents are kept. [heap]
+    must be empty on entry and is empty on return. Returns the number of
+    nodes expanded. *)
+
 val single_source_flat :
   n:int ->
   off:int array ->

@@ -338,16 +338,18 @@ module Histogram = struct
     Mutex.unlock registry.r_lock;
     t
 
-  let observe t v =
-    if enabled () then begin
-      let s = Domain.DLS.get t.h_key in
-      s.hs_count <- s.hs_count + 1;
-      s.hs_sum <- s.hs_sum +. v;
-      if v < s.hs_min then s.hs_min <- v;
-      if v > s.hs_max then s.hs_max <- v;
-      let i = bucket_index v in
-      s.hs_buckets.(i) <- s.hs_buckets.(i) + 1
-    end
+  (* [observe] without the telemetry flag check: for recorders that are
+     opted into on their own, such as the GC-pause consumer. *)
+  let record t v =
+    let s = Domain.DLS.get t.h_key in
+    s.hs_count <- s.hs_count + 1;
+    s.hs_sum <- s.hs_sum +. v;
+    if v < s.hs_min then s.hs_min <- v;
+    if v > s.hs_max then s.hs_max <- v;
+    let i = bucket_index v in
+    s.hs_buckets.(i) <- s.hs_buckets.(i) + 1
+
+  let observe t v = if enabled () then record t v
 
   (* Bucket-rank quantile: the upper bound of the bucket holding the
      nearest-rank sample, clamped into [min, max] so single-sample and
@@ -1306,11 +1308,12 @@ let dump_failed ~what ~dest e =
    interleaved with engine work on the domain lanes.
 
    Nothing here runs unless [start] is called (by [Series.enable],
-   i.e. --series / RISKROUTE_SERIES, or directly by tests):
-   unconfigured, no Runtime_events ring is ever created. [start] is a
-   process-global switch; the consumer must be drained with [poll] —
-   the series sampler does so every tick, and the exit dump takes a
-   final drain. *)
+   i.e. --series / RISKROUTE_SERIES, by [Rr_perf.Harness.measure_with_pauses]
+   for [bench json], or directly by tests): unconfigured, no
+   Runtime_events ring is ever created. [start] is a process-global
+   switch; the consumer must be drained with [poll] — the series sampler
+   does so every tick, the bench harness after every kernel, and the
+   exit dump takes a final drain. *)
 
 module Rte = struct
   let minor_name = "gc.pause.minor"
@@ -1352,7 +1355,10 @@ module Rte = struct
   let observe_pause ~ring ~name ~t0 ~t1 =
     let dur = t1 -. t0 in
     if dur >= 0.0 then begin
-      Histogram.observe (Histogram.make name) dur;
+      (* Starting the consumer is the opt-in: pauses are recorded with
+         telemetry off too, so [bench json] gets them without the
+         counters' overhead. *)
+      Histogram.record (Histogram.make name) dur;
       if Float.is_nan !calib then calib := Clock.monotonic () -. t1;
       let registry = Registry.default in
       push_span registry

@@ -5,9 +5,10 @@
     over N repetitions plus per-run GC allocation deltas, and the meta
     block is self-describing (OCaml version, word size, resolved pool
     size, engine cache hit/miss totals, effective tree-LRU capacity,
-    the PoP counts of the large-topology query kernels, and — when the
-    Runtime_events consumer ran — GC pause p50/p99 in ns for minor and
-    major collections) so baselines stay comparable across machines.
+    the PoP counts of the large-topology query kernels, and GC pause
+    p50/p99 in ns for minor and major collections from the
+    Runtime_events consumer) so baselines stay comparable across
+    machines.
     Older files remain readable: schema-5 metas default the GC-pause
     quantiles to 0, schema-4 metas default the tree-cache/topology
     fields, schema-3 metas default the cache totals to 0, and schema-2
@@ -36,7 +37,8 @@ type meta = {
           (e.g. ["1000,10000,50000"]); [""] in pre-5 files *)
   gc_minor_pause_p50_ns : float;
       (** minor-GC pause p50 (ns) over the recorded run, from the
-          Runtime_events consumer; [0.] when it was off or pre-6 *)
+          Runtime_events consumer; [0.] when the runtime refused the
+          consumer, or pre-6 *)
   gc_minor_pause_p99_ns : float;
   gc_major_pause_p50_ns : float;
   gc_major_pause_p99_ns : float;

@@ -38,6 +38,9 @@ let measure ?(warmups = 3) ?(reps = 10) kernels =
         minor.(i) <- mw1 -. mw0;
         major.(i) <- g1.Gc.major_words -. g0.Gc.major_words
       done;
+      (* Drain the GC-pause consumer (a no-op unless started) before its
+         ring can wrap. *)
+      ignore (Rr_obs.Rte.poll ());
       {
         Benchfile.name;
         reps;
@@ -50,3 +53,28 @@ let measure ?(warmups = 3) ?(reps = 10) kernels =
         gc_major_words = mean major;
       })
     kernels
+
+type pauses = {
+  minor_p50_ns : float;
+  minor_p99_ns : float;
+  major_p50_ns : float;
+  major_p99_ns : float;
+}
+
+(* Bucket-rank quantiles (ns) of the consumer's pause histograms; 0 for
+   an empty histogram. *)
+let pause_quantiles name =
+  let s = Rr_obs.Histogram.snapshot (Rr_obs.Histogram.make name) in
+  let q p =
+    let v = Rr_obs.Histogram.quantile s p *. 1e9 in
+    if Float.is_nan v then 0.0 else v
+  in
+  (q 0.5, q 0.99)
+
+let measure_with_pauses ?warmups ?reps kernels =
+  ignore (Rr_obs.Rte.start ());
+  let results = measure ?warmups ?reps kernels in
+  ignore (Rr_obs.Rte.poll ());
+  let minor_p50_ns, minor_p99_ns = pause_quantiles Rr_obs.Rte.minor_name in
+  let major_p50_ns, major_p99_ns = pause_quantiles Rr_obs.Rte.major_name in
+  (results, { minor_p50_ns; minor_p99_ns; major_p50_ns; major_p99_ns })

@@ -17,6 +17,26 @@ val measure :
     minor collection runs), major words from [Gc.quick_stat]. Both read
     the calling domain only. Results keep the input order. *)
 
+type pauses = {
+  minor_p50_ns : float;
+  minor_p99_ns : float;
+  major_p50_ns : float;
+  major_p99_ns : float;
+}
+(** GC pause quantiles in ns, from the [Rr_obs.Rte] Runtime_events
+    consumer; [0.] where it recorded nothing (or the runtime refused
+    it). *)
+
+val measure_with_pauses :
+  ?warmups:int ->
+  ?reps:int ->
+  (string * (unit -> unit)) list ->
+  Benchfile.result list * pauses
+(** {!measure} with the GC-pause consumer started first, so the pause
+    quantiles are real whether or not telemetry is on. The consumer is
+    process-global and stays running; its histograms cover every pause
+    since it was first started. *)
+
 val quantile : float array -> float -> float
 (** Nearest-rank quantile of a sample array (sorted internally);
     [nan] on an empty array. Exposed for the tests. *)

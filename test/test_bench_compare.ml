@@ -103,6 +103,34 @@ let test_measure_counts_allocation () =
       (r.Benchfile.gc_minor_words > 0.0)
   | _ -> Alcotest.fail "one row expected"
 
+(* [bench json]'s path: the GC-pause consumer is started before the
+   kernels run and records with telemetry off, so the meta pause fields
+   are real without --series. *)
+let test_measure_with_pauses () =
+  Alcotest.(check bool) "telemetry is off" false (Rr_obs.enabled ());
+  let _, pauses =
+    Harness.measure_with_pauses ~warmups:0 ~reps:3
+      [
+        ( "k.churn",
+          fun () ->
+            for _ = 1 to 20 do
+              ignore (Sys.opaque_identity (Array.make 100_000 None))
+            done;
+            Gc.minor () );
+      ]
+  in
+  if not (Rr_obs.Rte.started ()) then begin
+    (* Either the harness never started the consumer, or the runtime
+       refuses a Runtime_events ring here: only the latter is a skip. *)
+    if Rr_obs.Rte.start () then
+      Alcotest.fail "measure_with_pauses did not start the GC-pause consumer"
+    else Alcotest.skip ()
+  end
+  else
+    Alcotest.(check bool) "minor pause quantiles recorded" true
+      (pauses.Harness.minor_p50_ns > 0.0
+      && pauses.Harness.minor_p50_ns <= pauses.Harness.minor_p99_ns)
+
 (* --- bench file format --- *)
 
 let meta =
@@ -419,6 +447,8 @@ let () =
         [
           Alcotest.test_case "quantile" `Quick test_quantile;
           Alcotest.test_case "measure smoke" `Quick test_measure_smoke;
+          Alcotest.test_case "measure with GC pauses" `Quick
+            test_measure_with_pauses;
           Alcotest.test_case "measure counts allocation" `Quick
             test_measure_counts_allocation;
         ] );

@@ -423,6 +423,111 @@ let test_interdomain_with_extra_peering () =
   (* original untouched *)
   Alcotest.(check int) "original unchanged" 0 (Interdomain.peering_link_count merged)
 
+let test_interdomain_peering_arcs () =
+  let peering = mini_peering () in
+  let merged = Interdomain.merge peering in
+  Alcotest.(check (list (pair int int))) "existing links are not re-added" []
+    (Interdomain.peering_arcs merged ~net_a:0 ~net_b:1);
+  let bare = Interdomain.merge { peering with Rr_topology.Peering.edges = [] } in
+  Alcotest.(check (list (pair int int))) "the co-located Dallas PoPs" [ (1, 2) ]
+    (Interdomain.peering_arcs bare ~net_a:0 ~net_b:1)
+
+(* --- Peer advisor --- *)
+
+(* The scorer [Peer_advisor] replaced, kept as its reference: a fresh
+   [Env.with_graph] per candidate peer and a fresh [Router.riskroute]
+   per sampled pair, with the same pair sample and the same min/mean
+   logic. *)
+let reference_sample_pairs ~seed ~sources ~dests ~cap =
+  let rng = Rr_util.Prng.create seed in
+  let ns = Array.length sources and nd = Array.length dests in
+  if ns * nd <= cap then begin
+    let out = ref [] in
+    Array.iter
+      (fun s -> Array.iter (fun d -> if s <> d then out := (s, d) :: !out) dests)
+      sources;
+    Array.of_list !out
+  end
+  else
+    Array.init cap (fun _ ->
+        (sources.(Rr_util.Prng.int rng ns), dests.(Rr_util.Prng.int rng nd)))
+
+let reference_mean env pairs =
+  let acc = ref 0.0 and count = ref 0 in
+  Array.iter
+    (fun (src, dst) ->
+      if src <> dst then
+        match Router.riskroute env ~src ~dst with
+        | Some route ->
+          acc := !acc +. route.Router.bit_risk_miles;
+          incr count
+        | None -> ())
+    pairs;
+  if !count = 0 then infinity else !acc /. float_of_int !count
+
+let reference_recommend ~pair_cap merged base_env regional =
+  match Peer_advisor.candidates_for merged regional with
+  | [] -> None
+  | candidates ->
+    let nets = (Interdomain.peering merged).Rr_topology.Peering.nets in
+    let pairs =
+      reference_sample_pairs ~seed:0xBEE4L
+        ~sources:(Interdomain.net_nodes merged regional)
+        ~dests:(Interdomain.regional_nodes merged) ~cap:pair_cap
+    in
+    let baseline = reference_mean base_env pairs in
+    let scored =
+      List.map
+        (fun j ->
+          let merged' = Interdomain.with_extra_peering merged ~net_a:regional ~net_b:j in
+          let env' = Env.with_graph base_env (Interdomain.graph merged') in
+          (j, reference_mean env' pairs))
+        candidates
+    in
+    Option.map
+      (fun (j, with_peer) ->
+        {
+          Peer_advisor.regional = nets.(regional).Rr_topology.Net.name;
+          peer = nets.(j).Rr_topology.Net.name;
+          baseline;
+          with_peer;
+          improvement =
+            (if baseline > 0.0 && baseline < infinity then
+               1.0 -. (with_peer /. baseline)
+             else 0.0);
+        })
+      (Rr_util.Listx.min_by snd scored)
+
+let test_peer_advisor_matches_reference () =
+  let merged, env = Interdomain.shared () in
+  let nets = (Interdomain.peering merged).Rr_topology.Peering.nets in
+  let expected =
+    List.filter_map
+      (fun i ->
+        match nets.(i).Rr_topology.Net.tier with
+        | Rr_topology.Net.Regional -> reference_recommend ~pair_cap:120 merged env i
+        | Rr_topology.Net.Tier1 -> None)
+      (List.init (Array.length nets) Fun.id)
+  in
+  let got = Peer_advisor.recommend_all ~pair_cap:120 merged env in
+  Alcotest.(check int) "one recommendation per regional" (List.length expected)
+    (List.length got);
+  let bits = Int64.bits_of_float in
+  List.iter2
+    (fun (e : Peer_advisor.recommendation) (g : Peer_advisor.recommendation) ->
+      let name = e.Peer_advisor.regional in
+      Alcotest.(check string) (name ^ " regional") name g.Peer_advisor.regional;
+      Alcotest.(check string) (name ^ " peer") e.Peer_advisor.peer g.Peer_advisor.peer;
+      List.iter
+        (fun (field, a, b) ->
+          Alcotest.(check int64) (name ^ " " ^ field ^ " bitwise") (bits a) (bits b))
+        [
+          ("baseline", e.Peer_advisor.baseline, g.Peer_advisor.baseline);
+          ("with_peer", e.Peer_advisor.with_peer, g.Peer_advisor.with_peer);
+          ("improvement", e.Peer_advisor.improvement, g.Peer_advisor.improvement);
+        ])
+    expected got
+
 (* --- Characteristics --- *)
 
 let test_characteristics_table () =
@@ -536,6 +641,12 @@ let () =
           Alcotest.test_case "merge" `Quick test_interdomain_merge;
           Alcotest.test_case "cross-net route" `Quick test_interdomain_cross_net_route;
           Alcotest.test_case "extra peering" `Quick test_interdomain_with_extra_peering;
+          Alcotest.test_case "peering arcs" `Quick test_interdomain_peering_arcs;
+        ] );
+      ( "peer advisor",
+        [
+          Alcotest.test_case "matches the with_graph scorer" `Quick
+            test_peer_advisor_matches_reference;
         ] );
       ( "characteristics",
         [

@@ -296,6 +296,83 @@ let csr_runners_keep_list_tie_order =
              && same (Query.run ~runner:Plain q ~weight:arc_weight ~src:0 ~dst))
            (List.init n Fun.id))
 
+(* A connected graph (a random spanning tree plus extra edges) split into
+   a base graph and a set of inserted edges, with tie-heavy 0..3 weights
+   per ordered node pair. With [isolate], every edge of the last node is
+   an inserted one and the search stops there, so [stop] is reachable
+   only through an inserted arc. *)
+let arb_insertion =
+  QCheck.make
+    QCheck.Gen.(
+      int_range 2 12 >>= fun n ->
+      array_size (return n) (int_bound max_int) >>= fun parents ->
+      list_size (int_range 0 20) (pair (int_bound (n - 1)) (int_bound (n - 1)))
+      >>= fun extra ->
+      let tree = List.init (n - 1) (fun i -> (parents.(i + 1) mod (i + 1), i + 1)) in
+      let edges =
+        List.sort_uniq compare
+          (List.filter_map
+             (fun (u, v) -> if u = v then None else Some (min u v, max u v))
+             (tree @ extra))
+      in
+      list_size (return (List.length edges)) (int_bound 3) >>= fun picks ->
+      bool >>= fun isolate ->
+      array_size (return (n * n)) (int_bound 3) >>= fun w ->
+      int_bound (n - 1) >>= fun src ->
+      int_range (-1) (n - 1) >>= fun stop ->
+      let inserted (_, v) pick = pick = 0 || (isolate && v = n - 1) in
+      let ins = List.filteri (fun i e -> inserted e (List.nth picks i)) edges in
+      let stop = if isolate then n - 1 else stop in
+      let src = if isolate && src = n - 1 then 0 else src in
+      return (n, edges, ins, w, src, stop))
+    ~print:(fun (n, edges, ins, _, src, stop) ->
+      Printf.sprintf "%s inserted=%s src=%d stop=%d" (print_graph (n, edges))
+        (print_graph (n, ins)) src stop)
+
+let propagation_matches_fresh_search =
+  QCheck.Test.make
+    ~name:"search + propagate_inserted equals a fresh search on the augmented CSR"
+    ~count:500 arb_insertion
+    (fun (n, edges, ins, w, src, stop) ->
+      let weight u v = float_of_int w.((u * n) + v) in
+      let full = Graph.of_edges n edges in
+      let base =
+        Graph.of_edges n (List.filter (fun e -> not (List.mem e ins)) edges)
+      in
+      let _, boff, btgt, bweight = flat base weight in
+      let _, off, tgt, aweight = flat full weight in
+      let arc u v =
+        let k = ref off.(u) in
+        while tgt.(!k) <> v do
+          incr k
+        done;
+        (!k, u)
+      in
+      let inserted =
+        Array.of_list (List.concat_map (fun (u, v) -> [ arc u v; arc v u ]) ins)
+      in
+      let dist = Array.make n infinity and heap = Rr_util.Heap.create () in
+      ignore
+        (Dijkstra.search ~off:boff ~tgt:btgt ~weight:bweight ~touch:ignore ~dist
+           ~parent:(Array.make n (-1)) ~settled:(Array.make n false) ~heap ~src
+           ~stop);
+      Rr_util.Heap.clear heap;
+      ignore
+        (Dijkstra.propagate_inserted ~off ~tgt ~weight:aweight ~dist ~heap
+           ~inserted ~stop);
+      Rr_util.Heap.is_empty heap
+      &&
+      if stop < 0 then
+        let fresh = Dijkstra.single_source_flat ~n ~off ~tgt ~weight:aweight ~src in
+        Array.for_all2 (fun a b -> bits a = bits b) dist fresh.Dijkstra.dist
+      else
+        let expect =
+          match Dijkstra.single_pair_flat ~n ~off ~tgt ~weight:aweight ~src ~dst:stop with
+          | Some (c, _) -> c
+          | None -> infinity
+        in
+        bits dist.(stop) = bits expect)
+
 (* --- Component --- *)
 
 let test_components () =
@@ -571,6 +648,7 @@ let () =
           QCheck_alcotest.to_alcotest dijkstra_matches_brute_force;
           QCheck_alcotest.to_alcotest single_pair_consistent;
           QCheck_alcotest.to_alcotest csr_runners_keep_list_tie_order;
+          QCheck_alcotest.to_alcotest propagation_matches_fresh_search;
         ] );
       ( "repair",
         [

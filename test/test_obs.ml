@@ -690,6 +690,55 @@ let test_plain_query_counts_dijkstra () =
   Alcotest.(check bool) "dijkstra.relaxations advanced" true
     (Rr_obs.Counter.value relax > x0)
 
+(* Fig 11 shows up in the trace: one span per regional under the
+   caller's span, covering nearly all of the call, and non-zero work
+   counters. *)
+let test_peer_advisor_visible () =
+  let merged, env = Interdomain.shared () in
+  with_telemetry @@ fun () ->
+  let counters =
+    List.map
+      (fun name -> (name, Rr_obs.Counter.make name))
+      [ "peer_advisor.pairs"; "peer_advisor.base_settled"; "peer_advisor.insert_settled" ]
+  in
+  let before = List.map (fun (_, c) -> Rr_obs.Counter.value c) counters in
+  let recs =
+    Rr_obs.with_span "test.obs.fig11" (fun () ->
+        Peer_advisor.recommend_all ~pair_cap:60 merged env)
+  in
+  Alcotest.(check bool) "recommendations" true (recs <> []);
+  List.iter2
+    (fun (name, c) v0 ->
+      Alcotest.(check bool) (name ^ " advanced") true (Rr_obs.Counter.value c > v0))
+    counters before;
+  let sps = Rr_obs.spans () in
+  let call =
+    List.find (fun sp -> sp.Rr_obs.sp_name = "test.obs.fig11") (List.rev sps)
+  in
+  let children =
+    List.filter (fun sp -> sp.Rr_obs.sp_parent = call.Rr_obs.sp_id) sps
+  in
+  let regionals =
+    Array.fold_left
+      (fun acc net ->
+        match net.Rr_topology.Net.tier with
+        | Rr_topology.Net.Regional -> acc + 1
+        | Rr_topology.Net.Tier1 -> acc)
+      0 (Interdomain.peering merged).Rr_topology.Peering.nets
+  in
+  Alcotest.(check int) "one recommend_for span per regional" regionals
+    (List.length
+       (List.filter
+          (fun sp -> sp.Rr_obs.sp_name = "peer_advisor.recommend_for")
+          children));
+  let covered = List.fold_left (fun acc sp -> acc +. sp.Rr_obs.sp_dur) 0.0 children in
+  let self = call.Rr_obs.sp_dur -. covered in
+  Alcotest.(check bool)
+    (Printf.sprintf "self time %.4fs small next to total %.4fs" self
+       call.Rr_obs.sp_dur)
+    true
+    (self < 0.1 *. call.Rr_obs.sp_dur)
+
 (* --- quantile property: bucket quantiles vs exact reference ---
 
    Because [bucket_index] is monotone, the bucket-rank quantile is fully
@@ -1006,6 +1055,8 @@ let () =
             test_engine_counters_flow;
           Alcotest.test_case "plain queries count as dijkstra runs" `Quick
             test_plain_query_counts_dijkstra;
+          Alcotest.test_case "peer advisor spans and counters" `Quick
+            test_peer_advisor_visible;
           Alcotest.test_case "results unchanged by telemetry" `Quick
             test_results_unchanged_by_telemetry;
         ] );

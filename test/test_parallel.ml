@@ -150,14 +150,14 @@ let pool_sizes = [ 1; 4 ]
 (* Run [compute] at each pool size and insist every result is exactly
    equal (structural equality covers float bit patterns) to the 1-domain
    run, which in turn is the plain sequential code path. *)
-let check_pool_invariant name compute =
-  let results = List.map (fun k -> with_domains k compute) pool_sizes in
+let check_pool_invariant ?(sizes = pool_sizes) name compute =
+  let results = List.map (fun k -> with_domains k compute) sizes in
   match results with
   | baseline :: rest ->
     List.iteri
       (fun i r ->
         Alcotest.(check bool)
-          (Printf.sprintf "%s: pool size %d exact" name (List.nth pool_sizes (i + 1)))
+          (Printf.sprintf "%s: pool size %d exact" name (List.nth sizes (i + 1)))
           true (r = baseline))
       rest
   | [] -> ()
@@ -205,6 +205,13 @@ let test_abilene_invariant () =
         List.map
           (fun (p : Augment.pick) -> (p.Augment.u, p.Augment.v, p.Augment.total_after))
           (Augment.greedy ~k:2 env))
+
+(* Fig 11's pair rows run on the pool; the per-candidate means fold on
+   the calling domain in pair order. *)
+let test_peer_advisor_invariant () =
+  let merged, env = Interdomain.shared () in
+  check_pool_invariant ~sizes:[ 1; 2; 4 ] "peer advisor" (fun () ->
+      Peer_advisor.recommend_all ~pair_cap:60 merged env)
 
 (* Grid-scored cross validation gathers held-out densities without the
    chunked fit, so its scores do not depend on the pool size either. *)
@@ -259,6 +266,7 @@ let () =
           Alcotest.test_case "outage simulation" `Quick test_outagesim_invariant;
           Alcotest.test_case "census fractions" `Quick test_census_invariant;
           Alcotest.test_case "abilene end-to-end" `Quick test_abilene_invariant;
+          Alcotest.test_case "peer advisor" `Quick test_peer_advisor_invariant;
           Alcotest.test_case "grid-scored bandwidth CV" `Quick
             test_bandwidth_cv_invariant;
         ] );
