@@ -405,22 +405,26 @@ let run_continental_smoke ~pops ~pairs ~out =
   (match out with
   | None -> ()
   | Some path ->
-    let b = Buffer.create 1024 in
-    Printf.bprintf b
-      "{\n  \"pops\": %d,\n  \"pairs\": %d,\n  \"landmarks\": %d,\n" pops pairs
-      (Array.length (Rr_graph.Query.landmark_sources q));
-    Printf.bprintf b "  \"miles_plain_alt_ratio\": %.3f,\n" miles_ratio;
-    Printf.bprintf b "  \"risk_plain_alt_ratio\": %.3f,\n  \"settled\": {\n"
-      risk_ratio;
     let keys = List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) totals []) in
-    List.iteri
-      (fun i k ->
-        Printf.bprintf b "    \"query.%s.settled\": %d%s\n" k (total k)
-          (if i < List.length keys - 1 then "," else ""))
-      keys;
-    Printf.bprintf b "  },\n  \"failures\": %d\n}\n" !failures;
+    let summary =
+      Rr_obs.Json.(
+        Obj
+          [
+            ("pops", Int pops);
+            ("pairs", Int pairs);
+            ("landmarks", Int (Array.length (Rr_graph.Query.landmark_sources q)));
+            ("miles_plain_alt_ratio", Num miles_ratio);
+            ("risk_plain_alt_ratio", Num risk_ratio);
+            ( "settled",
+              Obj
+                (List.map
+                   (fun k -> ("query." ^ k ^ ".settled", Int (total k)))
+                   keys) );
+            ("failures", Int !failures);
+          ])
+    in
     let oc = open_out path in
-    output_string oc (Buffer.contents b);
+    output_string oc (Rr_obs.Json.to_string summary);
     close_out oc;
     Printf.printf "wrote %s\n" path);
   if !failures > 0 then begin

@@ -20,7 +20,6 @@
 open Cmdliner
 
 let setup_logs verbose =
-  Fmt_tty.setup_std_outputs ();
   if verbose then Rr_obs.Log.set_level (Some Rr_obs.Log.Debug)
 
 let verbose_arg =
@@ -722,7 +721,17 @@ let provenance_records exp =
   let records = ref [] in
   let add experiment label result =
     match result with
-    | Ok t -> records := (experiment, label, Rr_explain.to_json t) :: !records
+    | Ok t ->
+      let record =
+        Rr_obs.Json.(
+          Obj
+            [
+              ("experiment", Str experiment);
+              ("label", Str label);
+              ("record", Rr_explain.to_value t);
+            ])
+      in
+      records := record :: !records
     | Error msg ->
       Rr_obs.Log.warnf "riskroute: provenance %s/%s: %s" experiment label msg
   in
@@ -745,23 +754,14 @@ let provenance_records exp =
   List.rev !records
 
 let write_provenance exp path =
-  let records = provenance_records exp in
-  let b = Buffer.create 8192 in
-  Buffer.add_string b "{\"schema\": 1, \"experiments\": [";
-  List.iteri
-    (fun i (experiment, label, json) ->
-      Buffer.add_string b (if i = 0 then "\n" else ",\n");
-      Buffer.add_string b
-        (Printf.sprintf "{\"experiment\": %S, \"label\": %S, \"record\": "
-           experiment label);
-      Buffer.add_string b (String.trim json);
-      Buffer.add_string b "}")
-    records;
-  Buffer.add_string b (if records = [] then "]}\n" else "\n]}\n");
+  let doc =
+    Rr_obs.Json.(
+      Obj [ ("schema", Int 1); ("experiments", Arr (provenance_records exp)) ])
+  in
   let oc = open_out path in
   Fun.protect
     ~finally:(fun () -> close_out oc)
-    (fun () -> output_string oc (Buffer.contents b))
+    (fun () -> output_string oc (Rr_obs.Json.to_string doc))
 
 let report_cmd =
   let exp_arg =

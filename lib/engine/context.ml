@@ -600,23 +600,24 @@ let stats_fields t =
   ]
 
 let stats_json t =
-  let f = stats_fields t in
-  let g k = List.assoc k f in
-  Printf.sprintf
-    "{\n\
-    \  \"schema\": 2,\n\
-    \  \"env\": {\"hits\": %d, \"misses\": %d, \"patched\": %d, \
-     \"cache_length\": %d},\n\
-    \  \"tree\": {\"hits\": %d, \"misses\": %d, \"evictions\": %d, \
-     \"cache_length\": %d, \"cache_capacity\": %d, \"settled_nodes\": %d},\n\
-    \  \"delta\": {\"patched_arcs\": %d, \"trees_kept\": %d, \
-     \"trees_repaired\": %d, \"trees_evicted\": %d}\n\
-     }\n"
-    (g "env.hits") (g "env.misses") (g "env.patched") (g "env.cache_length")
-    (g "tree.hits") (g "tree.misses") (g "tree.evictions")
-    (g "tree.cache_length") (g "tree.cache_capacity") (g "tree.settled_nodes")
-    (g "delta.patched_arcs") (g "delta.trees_kept") (g "delta.trees_repaired")
-    (g "delta.trees_evicted")
+  let fields = stats_fields t in
+  (* "env.hits" lands in the "env" section as "hits". *)
+  let section name =
+    let prefix = name ^ "." in
+    let cut = String.length prefix in
+    ( name,
+      Rr_obs.Json.Obj
+        (List.filter_map
+           (fun (k, v) ->
+             if String.starts_with ~prefix k then
+               Some (String.sub k cut (String.length k - cut), Rr_obs.Json.Int v)
+             else None)
+           fields) )
+  in
+  Rr_obs.Json.to_string
+    (Rr_obs.Json.Obj
+       (("schema", Rr_obs.Json.Int 2)
+       :: List.map section [ "env"; "tree"; "delta" ]))
 
 let tree_cache_length t = with_lock t (fun () -> Lru.length t.trees)
 let tree_cache_capacity t = Lru.capacity t.trees

@@ -222,25 +222,23 @@ let render t =
   Buffer.contents buf
 
 let summary_json t =
-  Printf.sprintf
-    "{\n\
-    \  \"schema\": 1,\n\
-    \  \"net\": %S,\n\
-    \  \"storm\": %S,\n\
-    \  \"mode\": %S,\n\
-    \  \"ticks\": %d,\n\
-    \  \"flows\": %d,\n\
-    \  \"churn_total\": %d,\n\
-    \  \"changed_ticks\": %d,\n\
-    \  \"envs_built\": %d,\n\
-    \  \"envs_patched\": %d,\n\
-    \  \"settled_nodes\": %d,\n\
-    \  \"trees_kept\": %d,\n\
-    \  \"trees_repaired\": %d,\n\
-    \  \"trees_evicted\": %d,\n\
-    \  \"patched_arcs\": %d\n\
-     }\n"
-    t.net_name t.storm_name (mode_name t.mode) (List.length t.rows)
-    (Array.length t.flows) t.churn_total t.changed_ticks t.envs_built
-    t.envs_patched t.settled_nodes t.trees_kept t.trees_repaired
-    t.trees_evicted t.patched_arcs
+  let open Rr_obs.Json in
+  to_string
+    (Obj
+       [
+         ("schema", Int 1);
+         ("net", Str t.net_name);
+         ("storm", Str t.storm_name);
+         ("mode", Str (mode_name t.mode));
+         ("ticks", Int (List.length t.rows));
+         ("flows", Int (Array.length t.flows));
+         ("churn_total", Int t.churn_total);
+         ("changed_ticks", Int t.changed_ticks);
+         ("envs_built", Int t.envs_built);
+         ("envs_patched", Int t.envs_patched);
+         ("settled_nodes", Int t.settled_nodes);
+         ("trees_kept", Int t.trees_kept);
+         ("trees_repaired", Int t.trees_repaired);
+         ("trees_evicted", Int t.trees_evicted);
+         ("patched_arcs", Int t.patched_arcs);
+       ])

@@ -530,141 +530,97 @@ let of_query ctx params =
 
 (* --- JSON rendering ---
 
-   %.17g round-trips every finite double exactly, so a consumer summing
-   the per-arc terms reproduces the OCaml fold bit-for-bit (CI does
-   exactly that in python). *)
+   The writer's float rule round-trips every finite double exactly, so a
+   consumer summing the per-arc terms reproduces the OCaml fold
+   bit-for-bit (CI does exactly that in python). *)
 
-let fl f = if Float.is_finite f then Printf.sprintf "%.17g" f else "0.0"
-
-let str b s =
-  Buffer.add_char b '"';
-  Rr_obs.json_escape b s;
-  Buffer.add_char b '"'
-
-let arc_json b a =
-  Buffer.add_string b
-    (Printf.sprintf "{\"tail\": %d, \"head\": %d, \"tail_name\": " a.tail
-       a.head);
-  str b a.tail_name;
-  Buffer.add_string b ", \"head_name\": ";
-  str b a.head_name;
-  Buffer.add_string b
-    (Printf.sprintf ", \"miles\": %s, \"hist\": %s, \"fcst\": %s, \"weight\": %s}"
-       (fl a.miles) (fl a.hist) (fl a.fcst) (fl a.weight))
-
-let side_json b s =
-  Buffer.add_string b "{\n      \"path\": [";
-  List.iteri
-    (fun i v ->
-      if i > 0 then Buffer.add_string b ", ";
-      Buffer.add_string b (string_of_int v))
-    s.path;
-  Buffer.add_string b "],\n      \"pops\": [";
-  List.iteri
-    (fun i name ->
-      if i > 0 then Buffer.add_string b ", ";
-      str b name)
-    s.names;
-  Buffer.add_string b
-    (Printf.sprintf
-       "],\n\
-       \      \"bit_miles\": %s,\n\
-       \      \"bit_risk_miles\": %s,\n\
-       \      \"term_sum\": %s,\n\
-       \      \"decomposition_exact\": %b,\n\
-       \      \"hist_contribution\": %s,\n\
-       \      \"fcst_contribution\": %s,\n\
-       \      \"runner\": \"%s\",\n\
-       \      \"settled\": %d,\n\
-       \      \"arcs\": [" (fl s.bit_miles) (fl s.bit_risk_miles)
-       (fl s.term_sum) s.exact (fl s.hist_contribution)
-       (fl s.fcst_contribution) s.runner s.settled);
-  List.iteri
-    (fun i a ->
-      Buffer.add_string b (if i = 0 then "\n        " else ",\n        ");
-      arc_json b a)
-    s.arcs;
-  Buffer.add_string b (if s.arcs = [] then "]\n    }" else "\n      ]\n    }")
-
-let to_json t =
-  let b = Buffer.create 4096 in
-  let add = Buffer.add_string b in
-  add (Printf.sprintf "{\n  \"schema\": %d,\n  \"net\": " schema_version);
-  str b t.net;
-  add (Printf.sprintf ",\n  \"nodes\": %d,\n  \"src\": {\"id\": %d, \"name\": "
-         t.nodes t.src);
-  str b t.src_name;
-  add (Printf.sprintf ", \"impact\": %s},\n  \"dst\": {\"id\": %d, \"name\": "
-         (fl t.impact_src) t.dst);
-  str b t.dst_name;
-  add (Printf.sprintf ", \"impact\": %s},\n  \"kappa\": %s,\n" (fl t.impact_dst)
-         (fl t.kappa));
+let to_value t =
+  let open Rr_obs.Json in
+  let ints l = Arr (List.map (fun v -> Int v) l) in
+  let assoc value l = Obj (List.map (fun (k, v) -> (k, value v)) l) in
+  let arc a =
+    Obj
+      [
+        ("tail", Int a.tail);
+        ("head", Int a.head);
+        ("tail_name", Str a.tail_name);
+        ("head_name", Str a.head_name);
+        ("miles", Num a.miles);
+        ("hist", Num a.hist);
+        ("fcst", Num a.fcst);
+        ("weight", Num a.weight);
+      ]
+  in
+  let side s =
+    Obj
+      [
+        ("path", ints s.path);
+        ("pops", Arr (List.map (fun n -> Str n) s.names));
+        ("bit_miles", Num s.bit_miles);
+        ("bit_risk_miles", Num s.bit_risk_miles);
+        ("term_sum", Num s.term_sum);
+        ("decomposition_exact", Bool s.exact);
+        ("hist_contribution", Num s.hist_contribution);
+        ("fcst_contribution", Num s.fcst_contribution);
+        ("runner", Str s.runner);
+        ("settled", Int s.settled);
+        ("arcs", Arr (List.map arc s.arcs));
+      ]
+  in
+  let endpoint id name impact =
+    Obj [ ("id", Int id); ("name", Str name); ("impact", Num impact) ]
+  in
   let p = t.params in
-  add
-    (Printf.sprintf
-       "  \"params\": {\"lambda_h\": %s, \"lambda_f\": %s, \"risk_scale\": \
-        %s, \"rho_tropical\": %s, \"rho_hurricane\": %s},\n"
-       (fl p.Riskroute.Params.lambda_h) (fl p.Riskroute.Params.lambda_f)
-       (fl p.Riskroute.Params.risk_scale)
-       (fl p.Riskroute.Params.rho_tropical)
-       (fl p.Riskroute.Params.rho_hurricane));
-  (match t.advisory with
-  | None -> add "  \"advisory\": null,\n"
-  | Some a ->
-    add "  \"advisory\": ";
-    str b a;
-    add ",\n");
-  add "  \"riskroute\": ";
-  side_json b t.riskroute;
-  add ",\n  \"shortest\": ";
-  side_json b t.shortest;
-  add
-    (Printf.sprintf
-       ",\n\
-       \  \"diff\": {\"diverted\": %b, \"extra_miles\": %s, \"extra_hops\": \
-        %d, \"risk_avoided\": %s, \"hist_avoided\": %s, \"fcst_avoided\": \
-        %s, \"bit_risk_delta\": %s},\n"
-       t.diff.diverted (fl t.diff.extra_miles) t.diff.extra_hops
-       (fl t.diff.risk_avoided) (fl t.diff.hist_avoided)
-       (fl t.diff.fcst_avoided) (fl t.diff.bit_risk_delta));
-  add "  \"top_pops\": [";
-  List.iteri
-    (fun i c ->
-      if i > 0 then add ", ";
-      add (Printf.sprintf "{\"id\": %d, \"name\": " c.node);
-      str b c.name;
-      add (Printf.sprintf ", \"risk\": %s}" (fl c.risk)))
-    t.top_pops;
-  add "],\n  \"top_arcs\": [";
-  List.iteri
-    (fun i a ->
-      if i > 0 then add ", ";
-      arc_json b a)
-    t.top_arcs;
-  add "],\n  \"provenance\": {\n    \"fingerprints\": {";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then add ", ";
-      str b k;
-      add ": ";
-      str b v)
-    t.fingerprints;
-  add "},\n    \"cache_before\": {";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then add ", ";
-      str b k;
-      add (Printf.sprintf ": %d" v))
-    t.cache_before;
-  add "},\n    \"cache_after\": {";
-  List.iteri
-    (fun i (k, v) ->
-      if i > 0 then add ", ";
-      str b k;
-      add (Printf.sprintf ": %d" v))
-    t.cache_after;
-  add (Printf.sprintf "},\n    \"domains\": %d\n  }\n}\n" t.domains);
-  Buffer.contents b
+  Obj
+    [
+      ("schema", Int schema_version);
+      ("net", Str t.net);
+      ("nodes", Int t.nodes);
+      ("src", endpoint t.src t.src_name t.impact_src);
+      ("dst", endpoint t.dst t.dst_name t.impact_dst);
+      ("kappa", Num t.kappa);
+      ( "params",
+        Obj
+          [
+            ("lambda_h", Num p.Riskroute.Params.lambda_h);
+            ("lambda_f", Num p.Riskroute.Params.lambda_f);
+            ("risk_scale", Num p.Riskroute.Params.risk_scale);
+            ("rho_tropical", Num p.Riskroute.Params.rho_tropical);
+            ("rho_hurricane", Num p.Riskroute.Params.rho_hurricane);
+          ] );
+      ("advisory", match t.advisory with None -> Null | Some a -> Str a);
+      ("riskroute", side t.riskroute);
+      ("shortest", side t.shortest);
+      ( "diff",
+        Obj
+          [
+            ("diverted", Bool t.diff.diverted);
+            ("extra_miles", Num t.diff.extra_miles);
+            ("extra_hops", Int t.diff.extra_hops);
+            ("risk_avoided", Num t.diff.risk_avoided);
+            ("hist_avoided", Num t.diff.hist_avoided);
+            ("fcst_avoided", Num t.diff.fcst_avoided);
+            ("bit_risk_delta", Num t.diff.bit_risk_delta);
+          ] );
+      ( "top_pops",
+        Arr
+          (List.map
+             (fun c ->
+               Obj
+                 [ ("id", Int c.node); ("name", Str c.name); ("risk", Num c.risk) ])
+             t.top_pops) );
+      ("top_arcs", Arr (List.map arc t.top_arcs));
+      ( "provenance",
+        Obj
+          [
+            ("fingerprints", assoc (fun v -> Str v) t.fingerprints);
+            ("cache_before", assoc (fun v -> Int v) t.cache_before);
+            ("cache_after", assoc (fun v -> Int v) t.cache_after);
+            ("domains", Int t.domains);
+          ] );
+    ]
+
+let to_json t = Rr_obs.Json.to_string (to_value t)
 
 let of_query ctx params = Result.map to_json (of_query ctx params)
 

@@ -137,10 +137,14 @@ val explain_named :
     [katrina] / [sandy]) overlays the advisory at [tick] (default 40,
     corpus networks only). *)
 
+val to_value : t -> Rr_obs.Json.t
+(** The schema-{!schema_version} JSON document as a value, for callers
+    that embed it in a larger document (the report provenance sidecar). *)
+
 val to_json : t -> string
-(** Schema-{!schema_version} JSON. Floats are printed with [%.17g], so
-    every value round-trips exactly and external consumers can verify
-    the decomposition bit-for-bit. *)
+(** [to_value] printed by {!Rr_obs.Json.to_string}. Every float
+    round-trips exactly, so external consumers can verify the
+    decomposition bit-for-bit. *)
 
 val of_query : Rr_engine.Context.t -> (string * string) list -> (string, string) result
 (** The [/explain] provider body: decoded query parameters ([net] /

@@ -10,17 +10,6 @@ type feature = {
 
 let feature ?(properties = []) geometry = { geometry; properties }
 
-let escape s =
-  let buf = Buffer.create (String.length s + 2) in
-  String.iter
-    (function
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
-
 (* GeoJSON positions are [longitude, latitude]. *)
 let position c = Printf.sprintf "[%.5f,%.5f]" (Coord.lon c) (Coord.lat c)
 
@@ -43,7 +32,7 @@ let geometry_json = function
 let feature_json f =
   let props =
     List.map
-      (fun (k, v) -> Printf.sprintf {|"%s":"%s"|} (escape k) (escape v))
+      (fun (k, v) -> Rr_obs.Json.quote k ^ ":" ^ Rr_obs.Json.quote v)
       f.properties
   in
   Printf.sprintf {|{"type":"Feature","geometry":%s,"properties":{%s}}|}

@@ -25,9 +25,11 @@ let g_port = Rr_obs.Gauge.make "live.port"
    cache snapshot is injected: the CLI and bench register
    [Rr_engine.Context.stats_json] over their shared context. *)
 
+let error_body msg = Rr_obs.Json.(to_string (Obj [ ("error", Str msg) ]))
+
 let default_stats () =
-  "{\"error\": \"no stats provider registered; run via the riskroute CLI \
-   or bench harness\"}\n"
+  error_body
+    "no stats provider registered; run via the riskroute CLI or bench harness"
 
 let stats_provider = ref default_stats
 
@@ -83,47 +85,34 @@ let healthz () =
       open_spans
   in
   let healthy = stalled = [] in
-  let b = Buffer.create 256 in
-  let add = Buffer.add_string b in
-  add "{\n";
-  add
-    (Printf.sprintf "  \"status\": \"%s\",\n"
-       (if healthy then "ok" else "degraded"));
-  add (Printf.sprintf "  \"pid\": %d,\n" (Unix.getpid ()));
-  add "  \"git_rev\": \"";
-  Rr_obs.json_escape b (Rr_obs.git_rev ());
-  add "\",\n";
-  add "  \"schemas\": {";
-  List.iteri
-    (fun i (name, version) ->
-      if i > 0 then add ", ";
-      add "\"";
-      Rr_obs.json_escape b name;
-      add (Printf.sprintf "\": %d" version))
-    (Rr_obs.Schema.all ());
-  add "},\n";
-  add
-    (Printf.sprintf "  \"uptime_seconds\": %s,\n"
-       (Rr_obs.fnum (now -. Rr_obs.process_epoch)));
-  add
-    (Printf.sprintf "  \"stall_deadline_seconds\": %s,\n"
-       (Rr_obs.fnum deadline));
-  add (Printf.sprintf "  \"open_spans\": %d,\n" (List.length open_spans));
-  add "  \"stalled\": [";
-  List.iteri
-    (fun i (sp : Rr_obs.open_span) ->
-      add (if i = 0 then "\n" else ",\n");
-      add
-        (Printf.sprintf "    {\"domain\": \"%s\", \"span\": %d, \"name\": \""
-           (Rr_obs.domain_label sp.Rr_obs.op_domain)
-           sp.Rr_obs.op_id);
-      Rr_obs.json_escape b sp.Rr_obs.op_name;
-      add
-        (Printf.sprintf "\", \"age_seconds\": %s}"
-           (Rr_obs.fnum (now -. sp.Rr_obs.op_start))))
-    stalled;
-  add (if stalled = [] then "]\n}\n" else "\n  ]\n}\n");
-  (healthy, Buffer.contents b)
+  let stalled_json (sp : Rr_obs.open_span) =
+    Rr_obs.Json.(
+      Obj
+        [
+          ("domain", Str (Rr_obs.domain_label sp.Rr_obs.op_domain));
+          ("span", Int sp.Rr_obs.op_id);
+          ("name", Str sp.Rr_obs.op_name);
+          ("age_seconds", Num (now -. sp.Rr_obs.op_start));
+        ])
+  in
+  let body =
+    Rr_obs.Json.(
+      to_string
+        (Obj
+           [
+             ("status", Str (if healthy then "ok" else "degraded"));
+             ("pid", Int (Unix.getpid ()));
+             ("git_rev", Str (Rr_obs.git_rev ()));
+             ( "schemas",
+               Obj (List.map (fun (n, v) -> (n, Int v)) (Rr_obs.Schema.all ()))
+             );
+             ("uptime_seconds", Num (now -. Rr_obs.process_epoch));
+             ("stall_deadline_seconds", Num deadline);
+             ("open_spans", Int (List.length open_spans));
+             ("stalled", Arr (List.map stalled_json stalled));
+           ]))
+  in
+  (healthy, body)
 
 (* --- routing --- *)
 
@@ -230,15 +219,11 @@ let handle path =
     | body -> { status = 200; content_type = json_ct; headers = []; body }
     | exception e ->
       Rr_obs.Counter.incr c_errors;
-      let b = Buffer.create 64 in
-      Buffer.add_string b "{\"error\": \"stats provider failed: ";
-      Rr_obs.json_escape b (Printexc.to_string e);
-      Buffer.add_string b "\"}\n";
       {
         status = 500;
         content_type = json_ct;
         headers = [];
-        body = Buffer.contents b;
+        body = error_body ("stats provider failed: " ^ Printexc.to_string e);
       })
   | "/flight" ->
     {
@@ -259,27 +244,14 @@ let handle path =
     | Ok body -> { status = 200; content_type = json_ct; headers = []; body }
     | Error msg ->
       Rr_obs.Counter.incr c_errors;
-      let b = Buffer.create 64 in
-      Buffer.add_string b "{\"error\": \"";
-      Rr_obs.json_escape b msg;
-      Buffer.add_string b "\"}\n";
-      {
-        status = 400;
-        content_type = json_ct;
-        headers = [];
-        body = Buffer.contents b;
-      }
+      { status = 400; content_type = json_ct; headers = []; body = error_body msg }
     | exception e ->
       Rr_obs.Counter.incr c_errors;
-      let b = Buffer.create 64 in
-      Buffer.add_string b "{\"error\": \"explain provider failed: ";
-      Rr_obs.json_escape b (Printexc.to_string e);
-      Buffer.add_string b "\"}\n";
       {
         status = 500;
         content_type = json_ct;
         headers = [];
-        body = Buffer.contents b;
+        body = error_body ("explain provider failed: " ^ Printexc.to_string e);
       })
   | _ ->
     Rr_obs.Counter.incr c_errors;

@@ -65,6 +65,10 @@ let process_epoch = Clock.now ()
    below and every other library read knobs through it. *)
 module Envvar = Envvar
 
+(* The repo's one JSON value type, writer and reader; every exposition
+   below builds a [Json.t] and prints it with [Json.to_string]. *)
+module Json = Json
+
 (* The running binary's git revision, read straight off .git so the
    library stays dependency- and subprocess-free; "unknown" outside a
    checkout. Memoised: the revision cannot change under a running
@@ -424,31 +428,6 @@ end
    per domain. *)
 let cur_key = Domain.DLS.new_key (fun () -> 0)
 
-(* --- JSON helpers (shared by exposition, flight recorder and log) --- *)
-
-let json_escape b s =
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s
-
-(* JSON has no Infinity/NaN; non-finite values (empty histogram min/max)
-   are clamped to 0. Integral floats keep a trailing ".0" so the field
-   stays a float in typed consumers. *)
-let fnum v =
-  if not (Float.is_finite v) then "0.0"
-  else if Float.is_integer v && Float.abs v < 1e15 then
-    Printf.sprintf "%.1f" v
-  else Printf.sprintf "%.9g" v
-
 (* --- domain labels (trace tracks) --- *)
 
 (* Human-readable names for trace tracks: the pool registers its workers,
@@ -695,31 +674,28 @@ module Flight = struct
 
   let to_json () =
     let evs = events () in
-    let b = Buffer.create 4096 in
-    let add = Buffer.add_string b in
-    add "{\n  \"schema\": 1,\n";
-    add (Printf.sprintf "  \"capacity\": %d,\n" (capacity ()));
-    add (Printf.sprintf "  \"recorded\": %d,\n" (recorded ()));
-    add (Printf.sprintf "  \"retained\": %d,\n" (List.length evs));
-    add "  \"events\": [";
-    List.iteri
-      (fun i ev ->
-        add (if i = 0 then "\n" else ",\n");
-        add
-          (Printf.sprintf
-             "    {\"seq\": %d, \"time\": %s, \"domain\": %d, \"label\": \""
-             ev.ev_seq (fnum ev.ev_time) ev.ev_domain);
-        json_escape b (domain_label ev.ev_domain);
-        add "\", \"kind\": \"";
-        json_escape b ev.ev_kind;
-        add "\", \"name\": \"";
-        json_escape b ev.ev_name;
-        add (Printf.sprintf "\", \"span\": %d, \"detail\": \"" ev.ev_span);
-        json_escape b ev.ev_detail;
-        add "\"}")
-      evs;
-    add (if evs = [] then "]\n}\n" else "\n  ]\n}\n");
-    Buffer.contents b
+    let event ev =
+      Json.Obj
+        [
+          ("seq", Json.Int ev.ev_seq);
+          ("time", Json.Num ev.ev_time);
+          ("domain", Json.Int ev.ev_domain);
+          ("label", Json.Str (domain_label ev.ev_domain));
+          ("kind", Json.Str ev.ev_kind);
+          ("name", Json.Str ev.ev_name);
+          ("span", Json.Int ev.ev_span);
+          ("detail", Json.Str ev.ev_detail);
+        ]
+    in
+    Json.to_string
+      (Json.Obj
+         [
+           ("schema", Json.Int 1);
+           ("capacity", Json.Int (capacity ()));
+           ("recorded", Json.Int (recorded ()));
+           ("retained", Json.Int (List.length evs));
+           ("events", Json.Arr (List.map event evs));
+         ])
 
   (* Post-mortem dump target: RISKROUTE_FLIGHT=<path> overrides the
      per-pid temp-dir default. Written on SIGUSR1 and on uncaught
@@ -850,19 +826,16 @@ module Log = struct
       flush stderr
 
   let render_json lvl msg =
-    let b = Buffer.create (String.length msg + 96) in
-    Buffer.add_string b "{\"ts\": ";
-    Buffer.add_string b (fnum (Clock.monotonic () -. process_epoch));
-    Buffer.add_string b ", \"level\": \"";
-    Buffer.add_string b (level_name lvl);
-    Buffer.add_string b "\", \"domain\": \"";
-    json_escape b (domain_label (Domain.self () :> int));
-    Buffer.add_string b "\", \"span\": ";
-    Buffer.add_string b (string_of_int (Domain.DLS.get cur_key));
-    Buffer.add_string b ", \"msg\": \"";
-    json_escape b msg;
-    Buffer.add_string b "\"}\n";
-    Buffer.contents b
+    Json.to_line
+      (Json.Obj
+         [
+           ("ts", Json.Num (Clock.monotonic () -. process_epoch));
+           ("level", Json.Str (level_name lvl));
+           ("domain", Json.Str (domain_label (Domain.self () :> int)));
+           ("span", Json.Int (Domain.DLS.get cur_key));
+           ("msg", Json.Str msg);
+         ])
+    ^ "\n"
 
   let emit lvl msg =
     if severity lvl >= severity Warn then
@@ -946,104 +919,61 @@ let sorted_names tbl =
   List.sort compare (Hashtbl.fold (fun k _ acc -> k :: acc) tbl [])
 
 let to_json ?(registry = Registry.default) () =
-  let b = Buffer.create 2048 in
-  let add = Buffer.add_string b in
-  let key name =
-    add "\"";
-    json_escape b name;
-    add "\""
-  in
-  let section ?(last = false) name body =
-    add "  ";
-    key name;
-    add ": ";
-    body ();
-    if last then add "\n" else add ",\n"
-  in
-  let obj names emit =
-    if names = [] then add "{}"
-    else begin
-      add "{\n";
-      List.iteri
-        (fun i name ->
-          add "    ";
-          key name;
-          add ": ";
-          emit name;
-          if i < List.length names - 1 then add ",";
-          add "\n")
-        names;
-      add "  }"
-    end
-  in
-  add "{\n  \"schema\": 1,\n";
   Mutex.lock registry.r_lock;
   let meta =
     List.sort compare
       (Hashtbl.fold (fun k v acc -> (k, v) :: acc) registry.r_meta [])
   in
   Mutex.unlock registry.r_lock;
-  section "meta" (fun () ->
-      obj (List.map fst meta) (fun name ->
-          add "\"";
-          json_escape b (List.assoc name meta);
-          add "\""));
-  section "counters" (fun () ->
-      obj (sorted_names registry.r_counters) (fun name ->
-          add
-            (string_of_int
-               (Counter.value (Hashtbl.find registry.r_counters name)))));
-  section "gauges" (fun () ->
-      obj (sorted_names registry.r_gauges) (fun name ->
-          add
-            (string_of_int
-               (Gauge.value (Hashtbl.find registry.r_gauges name)))));
-  section "histograms" (fun () ->
-      obj (sorted_names registry.r_histograms) (fun name ->
-          let s = Histogram.snapshot (Hashtbl.find registry.r_histograms name) in
-          add
-            (Printf.sprintf
-               "{\"count\": %d, \"sum\": %s, \"min\": %s, \"max\": %s, \
-                \"p50\": %s, \"p90\": %s, \"p99\": %s, \"buckets\": ["
-               s.Histogram.count (fnum s.Histogram.sum)
-               (fnum s.Histogram.vmin) (fnum s.Histogram.vmax)
-               (fnum (Histogram.quantile s 0.50))
-               (fnum (Histogram.quantile s 0.90))
-               (fnum (Histogram.quantile s 0.99)));
-          let first = ref true in
-          Array.iteri
-            (fun i n ->
-              if n > 0 then begin
-                if not !first then add ", ";
-                first := false;
-                add (Printf.sprintf "[%s, %d]" (fnum (bucket_bound i)) n)
-              end)
-            s.Histogram.buckets;
-          add "]}"));
-  section ~last:true "spans" (fun () ->
-      let sps = spans ~registry () in
-      if sps = [] then add "[]"
-      else begin
-        add "[\n";
-        List.iteri
-          (fun i sp ->
-            add
-              (Printf.sprintf
-                 "    {\"id\": %d, \"parent\": %d, \"name\": " sp.sp_id
-                 sp.sp_parent);
-            add "\"";
-            json_escape b sp.sp_name;
-            add "\"";
-            add
-              (Printf.sprintf ", \"start\": %s, \"dur\": %s, \"domain\": %d}"
-                 (fnum sp.sp_start) (fnum sp.sp_dur) sp.sp_domain);
-            if i < List.length sps - 1 then add ",";
-            add "\n")
-          sps;
-        add "  ]"
-      end);
-  add "}\n";
-  Buffer.contents b
+  let section tbl value =
+    Json.Obj
+      (List.map
+         (fun name -> (name, value (Hashtbl.find tbl name)))
+         (sorted_names tbl))
+  in
+  let histogram h =
+    let s = Histogram.snapshot h in
+    let buckets = ref [] in
+    Array.iteri
+      (fun i n ->
+        if n > 0 then
+          buckets :=
+            Json.Arr [ Json.Num (bucket_bound i); Json.Int n ] :: !buckets)
+      s.Histogram.buckets;
+    Json.Obj
+      [
+        ("count", Json.Int s.Histogram.count);
+        ("sum", Json.Num s.Histogram.sum);
+        ("min", Json.Num s.Histogram.vmin);
+        ("max", Json.Num s.Histogram.vmax);
+        ("p50", Json.Num (Histogram.quantile s 0.50));
+        ("p90", Json.Num (Histogram.quantile s 0.90));
+        ("p99", Json.Num (Histogram.quantile s 0.99));
+        ("buckets", Json.Arr (List.rev !buckets));
+      ]
+  in
+  let span sp =
+    Json.Obj
+      [
+        ("id", Json.Int sp.sp_id);
+        ("parent", Json.Int sp.sp_parent);
+        ("name", Json.Str sp.sp_name);
+        ("start", Json.Num sp.sp_start);
+        ("dur", Json.Num sp.sp_dur);
+        ("domain", Json.Int sp.sp_domain);
+      ]
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("schema", Json.Int 1);
+         ("meta", Json.Obj (List.map (fun (k, v) -> (k, Json.Str v)) meta));
+         ( "counters",
+           section registry.r_counters (fun c -> Json.Int (Counter.value c)) );
+         ("gauges", section registry.r_gauges (fun g -> Json.Int (Gauge.value g)));
+         ("histograms", section registry.r_histograms histogram);
+         ("spans", Json.Arr (List.map span (spans ~registry ())));
+       ])
 
 let prom_name name =
   let b = Buffer.create (String.length name + 10) in
@@ -1112,68 +1042,66 @@ let to_prometheus ?(registry = Registry.default) () =
    Events are ordered by span id, so the output is reproducible given
    deterministic spans. *)
 
-let us v = Printf.sprintf "%.3f" (v *. 1e6)
-
 let to_trace ?(registry = Registry.default) () =
   let sps = spans ~registry () in
-  let b = Buffer.create 4096 in
-  let add = Buffer.add_string b in
-  let first = ref true in
-  let event s =
-    if not !first then add ",\n";
-    first := false;
-    add "    ";
-    add s
+  let us v = Json.Num (v *. 1e6) in
+  let event ph ~tid fields =
+    Json.Obj
+      ([ ("ph", Json.Str ph); ("pid", Json.Int 1); ("tid", Json.Int tid) ]
+      @ fields)
   in
-  add "{\n  \"displayTimeUnit\": \"ms\",\n  \"traceEvents\": [\n";
-  event
-    "{\"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"name\": \"process_name\", \
-     \"args\": {\"name\": \"riskroute\"}}";
-  let domains =
-    List.sort_uniq compare (List.map (fun sp -> sp.sp_domain) sps)
+  let track_name ~tid kind label =
+    event "M" ~tid
+      [ ("name", Json.Str kind); ("args", Json.Obj [ ("name", Json.Str label) ]) ]
   in
-  List.iter
-    (fun d ->
-      let name = Buffer.create 16 in
-      json_escape name (domain_label d);
-      event
-        (Printf.sprintf
-           "{\"ph\": \"M\", \"pid\": 1, \"tid\": %d, \"name\": \
-            \"thread_name\", \"args\": {\"name\": \"%s\"}}"
-           d (Buffer.contents name)))
-    domains;
   let by_id = Hashtbl.create (List.length sps) in
   List.iter (fun sp -> Hashtbl.replace by_id sp.sp_id sp) sps;
-  List.iter
-    (fun sp ->
-      let name = Buffer.create 32 in
-      json_escape name sp.sp_name;
-      event
-        (Printf.sprintf
-           "{\"ph\": \"X\", \"pid\": 1, \"tid\": %d, \"ts\": %s, \"dur\": \
-            %s, \"name\": \"%s\", \"cat\": \"riskroute\", \"args\": \
-            {\"id\": %d, \"parent\": %d}}"
-           sp.sp_domain (us sp.sp_start) (us sp.sp_dur)
-           (Buffer.contents name) sp.sp_id sp.sp_parent);
-      match Hashtbl.find_opt by_id sp.sp_parent with
-      | Some parent when parent.sp_domain <> sp.sp_domain ->
-        (* Cross-domain hand-off: draw a flow arrow from the parent's
-           slice to the child's, bound by the child span id. *)
-        event
-          (Printf.sprintf
-             "{\"ph\": \"s\", \"pid\": 1, \"tid\": %d, \"ts\": %s, \"id\": \
-              %d, \"name\": \"handoff\", \"cat\": \"riskroute\"}"
-             parent.sp_domain (us parent.sp_start) sp.sp_id);
-        event
-          (Printf.sprintf
-             "{\"ph\": \"f\", \"bp\": \"e\", \"pid\": 1, \"tid\": %d, \
-              \"ts\": %s, \"id\": %d, \"name\": \"handoff\", \"cat\": \
-              \"riskroute\"}"
-             sp.sp_domain (us sp.sp_start) sp.sp_id)
-      | Some _ | None -> ())
-    sps;
-  add "\n  ]\n}\n";
-  Buffer.contents b
+  let span_events sp =
+    let slice =
+      event "X" ~tid:sp.sp_domain
+        [
+          ("ts", us sp.sp_start);
+          ("dur", us sp.sp_dur);
+          ("name", Json.Str sp.sp_name);
+          ("cat", Json.Str "riskroute");
+          ( "args",
+            Json.Obj
+              [ ("id", Json.Int sp.sp_id); ("parent", Json.Int sp.sp_parent) ]
+          );
+        ]
+    in
+    let flow ph ~tid ts extra =
+      event ph ~tid
+        (extra
+        @ [
+            ("ts", us ts);
+            ("id", Json.Int sp.sp_id);
+            ("name", Json.Str "handoff");
+            ("cat", Json.Str "riskroute");
+          ])
+    in
+    match Hashtbl.find_opt by_id sp.sp_parent with
+    | Some parent when parent.sp_domain <> sp.sp_domain ->
+      (* Cross-domain hand-off: draw a flow arrow from the parent's
+         slice to the child's, bound by the child span id. *)
+      [
+        slice;
+        flow "s" ~tid:parent.sp_domain parent.sp_start [];
+        flow "f" ~tid:sp.sp_domain sp.sp_start [ ("bp", Json.Str "e") ];
+      ]
+    | Some _ | None -> [ slice ]
+  in
+  let domains = List.sort_uniq compare (List.map (fun sp -> sp.sp_domain) sps) in
+  let tracks =
+    track_name ~tid:0 "process_name" "riskroute"
+    :: List.map (fun d -> track_name ~tid:d "thread_name" (domain_label d)) domains
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ("displayTimeUnit", Json.Str "ms");
+         ("traceEvents", Json.Arr (tracks @ List.concat_map span_events sps));
+       ])
 
 (* --- exit dump ---
 
@@ -1638,63 +1566,48 @@ module Series = struct
 
   let to_json () =
     let sams = samples () in
-    let b = Buffer.create 4096 in
-    let add = Buffer.add_string b in
-    let fields out l =
-      if l = [] then add "{}"
-      else begin
-        add "{";
-        List.iteri
-          (fun i (name, v) ->
-            if i > 0 then add ", ";
-            add "\"";
-            json_escape b name;
-            add "\": ";
-            out v)
-          l;
-        add "}"
-      end
+    let fields value l = Json.Obj (List.map (fun (k, v) -> (k, value v)) l) in
+    let int v = Json.Int v in
+    let window w =
+      Json.Obj
+        [
+          ("count", Json.Int w.w_count);
+          ("sum", Json.Num w.w_sum);
+          ("p50", Json.Num w.w_p50);
+          ("p90", Json.Num w.w_p90);
+          ("p99", Json.Num w.w_p99);
+        ]
     in
-    add "{\n  \"schema\": 1,\n";
-    add (Printf.sprintf "  \"period_seconds\": %s,\n" (fnum (period ())));
-    add (Printf.sprintf "  \"capacity\": %d,\n" (capacity ()));
-    add (Printf.sprintf "  \"recorded\": %d,\n" (recorded ()));
-    add (Printf.sprintf "  \"retained\": %d,\n" (List.length sams));
-    add "  \"samples\": [";
-    List.iteri
-      (fun i s ->
-        add (if i = 0 then "\n" else ",\n");
-        add
-          (Printf.sprintf "    {\"seq\": %d, \"time\": %s,\n     \"counters\": "
-             s.s_seq (fnum s.s_time));
-        fields (fun v -> add (string_of_int v)) s.s_counters;
-        add ",\n     \"gauges\": ";
-        fields (fun v -> add (string_of_int v)) s.s_gauges;
-        add ",\n     \"histograms\": ";
-        fields
-          (fun w ->
-            add
-              (Printf.sprintf
-                 "{\"count\": %d, \"sum\": %s, \"p50\": %s, \"p90\": %s, \
-                  \"p99\": %s}"
-                 w.w_count (fnum w.w_sum) (fnum w.w_p50) (fnum w.w_p90)
-                 (fnum w.w_p99)))
-          s.s_hists;
-        add ",\n     \"gc\": ";
-        add
-          (Printf.sprintf
-             "{\"minor_words\": %s, \"major_words\": %s, \
-              \"minor_collections\": %d, \"major_collections\": %d, \
-              \"heap_words\": %d}"
-             (fnum s.s_gc_minor_words) (fnum s.s_gc_major_words)
-             s.s_gc_minor_collections s.s_gc_major_collections
-             s.s_gc_heap_words);
-        add ",\n     \"stats\": ";
-        fields (fun v -> add (string_of_int v)) s.s_stats;
-        add "}")
-      sams;
-    add (if sams = [] then "]\n}\n" else "\n  ]\n}\n");
-    Buffer.contents b
+    let sample s =
+      Json.Obj
+        [
+          ("seq", Json.Int s.s_seq);
+          ("time", Json.Num s.s_time);
+          ("counters", fields int s.s_counters);
+          ("gauges", fields int s.s_gauges);
+          ("histograms", fields window s.s_hists);
+          ( "gc",
+            Json.Obj
+              [
+                ("minor_words", Json.Num s.s_gc_minor_words);
+                ("major_words", Json.Num s.s_gc_major_words);
+                ("minor_collections", Json.Int s.s_gc_minor_collections);
+                ("major_collections", Json.Int s.s_gc_major_collections);
+                ("heap_words", Json.Int s.s_gc_heap_words);
+              ] );
+          ("stats", fields int s.s_stats);
+        ]
+    in
+    Json.to_string
+      (Json.Obj
+         [
+           ("schema", Json.Int 1);
+           ("period_seconds", Json.Num (period ()));
+           ("capacity", Json.Int (capacity ()));
+           ("recorded", Json.Int (recorded ()));
+           ("retained", Json.Int (List.length sams));
+           ("samples", Json.Arr (List.map sample sams));
+         ])
 
   (* --- sampler thread --- *)
 

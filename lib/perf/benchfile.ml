@@ -1,3 +1,5 @@
+module Json = Rr_obs.Json
+
 type meta = {
   schema : int;
   domains : int;
@@ -37,50 +39,48 @@ type file = { meta : meta; results : result list }
 
 let schema = 6
 
-let escape s =
-  let b = Buffer.create (String.length s + 2) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | c when Char.code c < 32 ->
-        Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
 let to_json_string f =
-  let b = Buffer.create 2048 in
   let m = f.meta in
-  Printf.bprintf b
-    "{\n\
-    \  \"meta\": {\"schema\": %d, \"domains\": %d, \"git_rev\": \"%s\", \
-     \"hostname\": \"%s\", \"ocaml_version\": \"%s\", \"word_size\": %d, \
-     \"riskroute_domains\": \"%s\", \"reps\": %d, \"warmups\": %d, \
-     \"cache_hits\": %d, \"cache_misses\": %d, \"tree_cache_cap\": %d, \
-     \"topology_pops\": \"%s\", \"gc_minor_pause_p50_ns\": %.1f, \
-     \"gc_minor_pause_p99_ns\": %.1f, \"gc_major_pause_p50_ns\": %.1f, \
-     \"gc_major_pause_p99_ns\": %.1f},\n\
-    \  \"results\": [\n"
-    m.schema m.domains (escape m.git_rev) (escape m.hostname)
-    (escape m.ocaml_version) m.word_size (escape m.riskroute_domains) m.reps
-    m.warmups m.cache_hits m.cache_misses m.tree_cache_cap
-    (escape m.topology_pops) m.gc_minor_pause_p50_ns m.gc_minor_pause_p99_ns
-    m.gc_major_pause_p50_ns m.gc_major_pause_p99_ns;
-  List.iteri
-    (fun i r ->
-      Printf.bprintf b
-        "    {\"name\": \"%s\", \"reps\": %d, \"mean_ns\": %.2f, \"p50_ns\": \
-         %.2f, \"p95_ns\": %.2f, \"min_ns\": %.2f, \"max_ns\": %.2f, \
-         \"gc_minor_words\": %.1f, \"gc_major_words\": %.1f}%s\n"
-        (escape r.name) r.reps r.mean_ns r.p50_ns r.p95_ns r.min_ns r.max_ns
-        r.gc_minor_words r.gc_major_words
-        (if i < List.length f.results - 1 then "," else ""))
-    f.results;
-  Buffer.add_string b "  ]\n}\n";
-  Buffer.contents b
+  let result r =
+    Json.Obj
+      [
+        ("name", Json.Str r.name);
+        ("reps", Json.Int r.reps);
+        ("mean_ns", Json.Num r.mean_ns);
+        ("p50_ns", Json.Num r.p50_ns);
+        ("p95_ns", Json.Num r.p95_ns);
+        ("min_ns", Json.Num r.min_ns);
+        ("max_ns", Json.Num r.max_ns);
+        ("gc_minor_words", Json.Num r.gc_minor_words);
+        ("gc_major_words", Json.Num r.gc_major_words);
+      ]
+  in
+  Json.to_string
+    (Json.Obj
+       [
+         ( "meta",
+           Json.Obj
+             [
+               ("schema", Json.Int m.schema);
+               ("domains", Json.Int m.domains);
+               ("git_rev", Json.Str m.git_rev);
+               ("hostname", Json.Str m.hostname);
+               ("ocaml_version", Json.Str m.ocaml_version);
+               ("word_size", Json.Int m.word_size);
+               ("riskroute_domains", Json.Str m.riskroute_domains);
+               ("reps", Json.Int m.reps);
+               ("warmups", Json.Int m.warmups);
+               ("cache_hits", Json.Int m.cache_hits);
+               ("cache_misses", Json.Int m.cache_misses);
+               ("tree_cache_cap", Json.Int m.tree_cache_cap);
+               ("topology_pops", Json.Str m.topology_pops);
+               ("gc_minor_pause_p50_ns", Json.Num m.gc_minor_pause_p50_ns);
+               ("gc_minor_pause_p99_ns", Json.Num m.gc_minor_pause_p99_ns);
+               ("gc_major_pause_p50_ns", Json.Num m.gc_major_pause_p50_ns);
+               ("gc_major_pause_p99_ns", Json.Num m.gc_major_pause_p99_ns);
+             ] );
+         ("results", Json.Arr (List.map result f.results));
+       ])
 
 let num ?default j key =
   match Option.bind (Json.member key j) Json.to_num with

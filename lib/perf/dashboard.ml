@@ -3,6 +3,8 @@
    + a horizontal p50 bar chart. No external assets — the page must
    open from a CI artifact tarball or an email attachment. *)
 
+module Json = Rr_obs.Json
+
 let html_escape s =
   let b = Buffer.create (String.length s + 16) in
   String.iter
@@ -49,21 +51,6 @@ let fmt_ns v =
 
 (* Histogram windows record seconds; everything else is unitless. *)
 let fmt_seconds v = fmt_ns (v *. 1e9)
-
-(* Minimal JSON string literal for values we generate ourselves
-   (time captions, formatted figures) — no exotic characters. *)
-let jstr s =
-  let b = Buffer.create (String.length s + 2) in
-  Buffer.add_char b '"';
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.add_char b '"';
-  Buffer.contents b
 
 (* ------------------------------------------------------------------ *)
 (* Sparkline: a 560x80 inline SVG — 2px round-capped line, 10%-opacity
@@ -130,11 +117,11 @@ let render_spark b ~title ~labels ~values ~fmt =
                  match values.(i) with
                  | Some v when Float.is_finite v -> Printf.sprintf "%.1f" (y v)
                  | _ -> "null")))
-         (html_escape (String.concat "," (List.map jstr labels)))
+         (html_escape (String.concat "," (List.map Json.quote labels)))
          (html_escape
             (String.concat ","
                (List.init n (fun i ->
-                    jstr
+                    Json.quote
                       (match values.(i) with
                       | Some v -> fmt v
                       | None -> "-"))))));

@@ -3,7 +3,7 @@
    harness statistics, the BENCH_*.json round trip (including schema-2
    back-compat) and the regression verdict model. *)
 
-module Json = Rr_perf.Json
+module Json = Rr_obs.Json
 module Benchfile = Rr_perf.Benchfile
 module Harness = Rr_perf.Harness
 module Compare = Rr_perf.Compare

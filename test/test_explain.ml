@@ -7,7 +7,7 @@
 module Parallel = Rr_util.Parallel
 module Context = Rr_engine.Context
 module Explain = Rr_explain
-module Json = Rr_perf.Json
+module Json = Rr_obs.Json
 
 let with_domains k f =
   let old = Parallel.domain_count () in

@@ -399,6 +399,32 @@ let test_geojson_point () =
   Alcotest.(check bool) "lon first" true (contains "[-90.07000,29.95000]");
   Alcotest.(check bool) "property" true (contains {|"name":"NOLA"|})
 
+(* Control bytes in a property must be escaped: a raw tab or 0x01 inside
+   a JSON string is invalid, so the collection would not parse. *)
+let test_geojson_escapes_control_bytes () =
+  let props = [ ("note", "a\tb"); ("ctl\x01", "x\x01y\r\"q\\") ] in
+  let s =
+    Rr_geo.Geojson.feature_collection
+      [
+        Rr_geo.Geojson.feature ~properties:props
+          (Rr_geo.Geojson.Point (coord 29.95 (-90.07)));
+      ]
+  in
+  let module J = Rr_obs.Json in
+  match J.parse s with
+  | Error e -> Alcotest.failf "GeoJSON does not parse: %s\n%s" e s
+  | Ok j -> (
+    match Option.bind (J.member "features" j) J.to_arr with
+    | Some [ f ] ->
+      let back =
+        match J.member "properties" f with
+        | Some (J.Obj l) -> List.map (fun (k, v) -> (k, J.to_str v)) l
+        | _ -> []
+      in
+      Alcotest.(check (list (pair string (option string))))
+        "properties read back" (List.map (fun (k, v) -> (k, Some v)) props) back
+    | _ -> Alcotest.fail "expected one feature")
+
 let test_geojson_polygon_closed () =
   let ring = [ coord 30.0 (-90.0); coord 31.0 (-90.0); coord 31.0 (-89.0) ] in
   let s =
@@ -496,5 +522,7 @@ let () =
           Alcotest.test_case "polygon closed" `Quick test_geojson_polygon_closed;
           Alcotest.test_case "circle" `Quick test_geojson_circle;
           Alcotest.test_case "network export" `Quick test_geo_export_net;
+          Alcotest.test_case "control bytes escaped" `Quick
+            test_geojson_escapes_control_bytes;
         ] );
     ]

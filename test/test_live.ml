@@ -82,17 +82,17 @@ let header name headers =
   | None -> Alcotest.failf "response has no %s header" name
 
 let json_of body =
-  match Rr_perf.Json.parse body with
+  match Rr_obs.Json.parse body with
   | Ok j -> j
   | Error e -> Alcotest.failf "body is not valid JSON: %s\n%s" e body
 
 let json_str key j =
-  match Option.bind (Rr_perf.Json.member key j) Rr_perf.Json.to_str with
+  match Option.bind (Rr_obs.Json.member key j) Rr_obs.Json.to_str with
   | Some s -> s
   | None -> Alcotest.failf "JSON has no string %S" key
 
 let json_int key j =
-  match Option.bind (Rr_perf.Json.member key j) Rr_perf.Json.to_int with
+  match Option.bind (Rr_obs.Json.member key j) Rr_obs.Json.to_int with
   | Some n -> n
   | None -> Alcotest.failf "JSON has no int %S" key
 
@@ -251,7 +251,7 @@ let test_listener_endpoints () =
   Alcotest.(check bool) "healthz git_rev present" true
     (json_str "git_rev" j <> "");
   let schemas =
-    match Rr_perf.Json.member "schemas" j with
+    match Rr_obs.Json.member "schemas" j with
     | Some s -> s
     | None -> Alcotest.fail "healthz has no schemas object"
   in
@@ -261,7 +261,7 @@ let test_listener_endpoints () =
         (Printf.sprintf "schemas.%s is a positive version" name)
         true
         (match
-           Option.bind (Rr_perf.Json.member name schemas) Rr_perf.Json.to_int
+           Option.bind (Rr_obs.Json.member name schemas) Rr_obs.Json.to_int
          with
         | Some v -> v >= 1
         | None -> false))
@@ -280,7 +280,7 @@ let test_listener_endpoints () =
   let j = json_of body in
   Alcotest.(check int) "flight schema" 1 (json_int "schema" j);
   Alcotest.(check bool) "flight has events array" true
-    (Option.bind (Rr_perf.Json.member "events" j) Rr_perf.Json.to_arr
+    (Option.bind (Rr_obs.Json.member "events" j) Rr_obs.Json.to_arr
     <> None);
   (* /series: parseable JSON with the sampler-ring shape (the sampler
      thread is not running here, so the ring is merely empty). *)
@@ -291,7 +291,7 @@ let test_listener_endpoints () =
   let j = json_of body in
   Alcotest.(check int) "series schema" 1 (json_int "schema" j);
   Alcotest.(check bool) "series has samples array" true
-    (Option.bind (Rr_perf.Json.member "samples" j) Rr_perf.Json.to_arr
+    (Option.bind (Rr_obs.Json.member "samples" j) Rr_obs.Json.to_arr
     <> None);
   (* The index names every endpoint, including /series. *)
   let _, _, body = http_get port "/" in
@@ -371,7 +371,7 @@ let test_watchdog_transitions () =
         (json_str "status" j);
       let stalled =
         match
-          Option.bind (Rr_perf.Json.member "stalled" j) Rr_perf.Json.to_arr
+          Option.bind (Rr_obs.Json.member "stalled" j) Rr_obs.Json.to_arr
         with
         | Some l -> l
         | None -> Alcotest.fail "no stalled array"
@@ -379,7 +379,7 @@ let test_watchdog_transitions () =
       Alcotest.(check bool) "stalled names the span" true
         (List.exists
            (fun e ->
-             Option.bind (Rr_perf.Json.member "name" e) Rr_perf.Json.to_str
+             Option.bind (Rr_obs.Json.member "name" e) Rr_obs.Json.to_str
              = Some "live.watchdog_probe")
            stalled);
       (* The degraded verdict rides out over HTTP as a 503. *)

@@ -229,7 +229,7 @@ let test_empty_histogram_exposition () =
     let rec go i = i + n <= m && (String.sub hay i n = needle || go (i + 1)) in
     go 0
   in
-  (match Rr_perf.Json.parse json with
+  (match Rr_obs.Json.parse json with
   | Ok _ -> ()
   | Error e -> Alcotest.failf "empty-histogram dump is not JSON: %s\n%s" e json);
   List.iter
@@ -342,8 +342,8 @@ let golden_trace =
    \"args\": {\"name\": \"riskroute\"}},\n\
   \    {\"ph\": \"M\", \"pid\": 1, \"tid\": 0, \"name\": \"thread_name\", \
    \"args\": {\"name\": \"main\"}},\n\
-  \    {\"ph\": \"X\", \"pid\": 1, \"tid\": 0, \"ts\": 0.000, \"dur\": \
-   0.000, \"name\": \"root.op\", \"cat\": \"riskroute\", \"args\": {\"id\": \
+  \    {\"ph\": \"X\", \"pid\": 1, \"tid\": 0, \"ts\": 0.0, \"dur\": \
+   0.0, \"name\": \"root.op\", \"cat\": \"riskroute\", \"args\": {\"id\": \
    1, \"parent\": 0}}\n\
   \  ]\n\
    }\n"
@@ -367,19 +367,19 @@ let test_trace_two_tracks () =
              Rr_obs.Span.with_parent parent (fun () ->
                  Rr_obs.with_span ~registry:r "task" (fun () -> ())))));
   let trace = Rr_obs.to_trace ~registry:r () in
-  match Rr_perf.Json.parse trace with
+  match Rr_obs.Json.parse trace with
   | Error e -> Alcotest.failf "trace is not valid JSON: %s" e
   | Ok j ->
     let events =
       match
-        Option.bind (Rr_perf.Json.member "traceEvents" j) Rr_perf.Json.to_arr
+        Option.bind (Rr_obs.Json.member "traceEvents" j) Rr_obs.Json.to_arr
       with
       | Some evs -> evs
       | None -> Alcotest.fail "trace has no traceEvents array"
     in
-    let ph e = Option.bind (Rr_perf.Json.member "ph" e) Rr_perf.Json.to_str in
+    let ph e = Option.bind (Rr_obs.Json.member "ph" e) Rr_obs.Json.to_str in
     let tid e =
-      Option.bind (Rr_perf.Json.member "tid" e) Rr_perf.Json.to_int
+      Option.bind (Rr_obs.Json.member "tid" e) Rr_obs.Json.to_int
     in
     List.iter
       (fun e ->
@@ -499,16 +499,16 @@ let test_flight_json_parses () =
   Rr_obs.Flight.record ~kind:"evict" ~name:"engine.tree_lru"
     ~detail:"evicted=3" ();
   Rr_obs.Flight.record ~kind:"warn" ~name:"log" ~detail:"say \"hi\"" ();
-  match Rr_perf.Json.parse (Rr_obs.Flight.to_json ()) with
+  match Rr_obs.Json.parse (Rr_obs.Flight.to_json ()) with
   | Error e -> Alcotest.failf "flight dump is not valid JSON: %s" e
   | Ok j ->
-    let get k = Option.bind (Rr_perf.Json.member k j) Rr_perf.Json.to_int in
+    let get k = Option.bind (Rr_obs.Json.member k j) Rr_obs.Json.to_int in
     Alcotest.(check (option int)) "schema" (Some 1) (get "schema");
     Alcotest.(check (option int)) "capacity" (Some 16) (get "capacity");
     Alcotest.(check (option int)) "retained" (Some 2) (get "retained");
     let events =
       match
-        Option.bind (Rr_perf.Json.member "events" j) Rr_perf.Json.to_arr
+        Option.bind (Rr_obs.Json.member "events" j) Rr_obs.Json.to_arr
       with
       | Some l -> l
       | None -> Alcotest.fail "no events array"
@@ -567,11 +567,11 @@ let test_log_configured_json () =
       Rr_obs.Log.infof "inside %s" "span");
   (match !records with
   | [ line ] -> (
-    match Rr_perf.Json.parse line with
+    match Rr_obs.Json.parse line with
     | Error e -> Alcotest.failf "log record is not valid JSON: %s" e
     | Ok j ->
       let str k =
-        Option.bind (Rr_perf.Json.member k j) Rr_perf.Json.to_str
+        Option.bind (Rr_obs.Json.member k j) Rr_obs.Json.to_str
       in
       Alcotest.(check (option string)) "level" (Some "info") (str "level");
       Alcotest.(check (option string)) "msg" (Some "inside span")
@@ -580,7 +580,7 @@ let test_log_configured_json () =
         (str "domain");
       Alcotest.(check bool) "span id stamped" true
         (match
-           Option.bind (Rr_perf.Json.member "span" j) Rr_perf.Json.to_int
+           Option.bind (Rr_obs.Json.member "span" j) Rr_obs.Json.to_int
          with
         | Some id -> id > 0
         | None -> false))
@@ -865,10 +865,10 @@ let test_series_json_before_first_tick () =
   Alcotest.(check int) "nothing recorded yet" 0 (Rr_obs.Series.recorded ());
   Alcotest.(check int) "no samples retained" 0
     (List.length (Rr_obs.Series.samples ()));
-  match Rr_perf.Json.parse (Rr_obs.Series.to_json ()) with
+  match Rr_obs.Json.parse (Rr_obs.Series.to_json ()) with
   | Error e -> Alcotest.failf "pre-tick series dump is not valid JSON: %s" e
   | Ok j ->
-    let get k = Option.bind (Rr_perf.Json.member k j) Rr_perf.Json.to_int in
+    let get k = Option.bind (Rr_obs.Json.member k j) Rr_obs.Json.to_int in
     Alcotest.(check (option int)) "schema" (Some 1) (get "schema");
     Alcotest.(check (option int)) "recorded" (Some 0) (get "recorded");
     Alcotest.(check (option int)) "retained" (Some 0) (get "retained");
@@ -876,7 +876,7 @@ let test_series_json_before_first_tick () =
       (Some [])
       (Option.map
          (List.map (fun _ -> "sample"))
-         (Option.bind (Rr_perf.Json.member "samples" j) Rr_perf.Json.to_arr))
+         (Option.bind (Rr_obs.Json.member "samples" j) Rr_obs.Json.to_arr))
 
 let test_series_json_parses () =
   with_series 8 @@ fun () ->
@@ -885,23 +885,23 @@ let test_series_json_parses () =
   Rr_obs.Counter.incr c;
   Rr_obs.Series.sample_now ();
   Rr_obs.Series.sample_now ();
-  match Rr_perf.Json.parse (Rr_obs.Series.to_json ()) with
+  match Rr_obs.Json.parse (Rr_obs.Series.to_json ()) with
   | Error e -> Alcotest.failf "series dump is not valid JSON: %s" e
   | Ok j ->
-    let get k = Option.bind (Rr_perf.Json.member k j) Rr_perf.Json.to_int in
+    let get k = Option.bind (Rr_obs.Json.member k j) Rr_obs.Json.to_int in
     Alcotest.(check (option int)) "schema" (Some 1) (get "schema");
     Alcotest.(check (option int)) "capacity" (Some 8) (get "capacity");
     Alcotest.(check (option int)) "recorded" (Some 2) (get "recorded");
     Alcotest.(check (option int)) "retained" (Some 2) (get "retained");
     (match
-       Option.bind (Rr_perf.Json.member "samples" j) Rr_perf.Json.to_arr
+       Option.bind (Rr_obs.Json.member "samples" j) Rr_obs.Json.to_arr
      with
     | Some [ s1; _ ] ->
-      let counters = Rr_perf.Json.member "counters" s1 in
+      let counters = Rr_obs.Json.member "counters" s1 in
       Alcotest.(check (option int)) "counter delta in first sample" (Some 1)
         (Option.bind
-           (Option.bind counters (Rr_perf.Json.member "test.obs.series_json"))
-           Rr_perf.Json.to_int)
+           (Option.bind counters (Rr_obs.Json.member "test.obs.series_json"))
+           Rr_obs.Json.to_int)
     | Some l -> Alcotest.failf "expected 2 samples, got %d" (List.length l)
     | None -> Alcotest.fail "no samples array")
 
@@ -954,6 +954,183 @@ let test_results_unchanged_by_telemetry () =
   let off = compute () in
   let on = with_telemetry compute in
   Alcotest.(check bool) "telemetry on/off results identical" true (off = on)
+
+(* --- the JSON writer and reader --- *)
+
+module Json = Rr_obs.Json
+
+(* Floats compare bitwise: -0.0 must come back as -0.0. *)
+let rec json_equal a b =
+  match (a, b) with
+  | Json.Num x, Json.Num y ->
+    Int64.equal (Int64.bits_of_float x) (Int64.bits_of_float y)
+  | Json.Arr l, Json.Arr m ->
+    List.length l = List.length m && List.for_all2 json_equal l m
+  | Json.Obj l, Json.Obj m ->
+    List.length l = List.length m
+    && List.for_all2 (fun (k, x) (j, y) -> String.equal k j && json_equal x y) l m
+  | _ -> a = b
+
+(* Arbitrary bytes, weighted towards the ones an escaper can get wrong. *)
+let gen_json_string =
+  QCheck.Gen.(
+    string_size
+      ~gen:
+        (frequency
+           [
+             (2, char);
+             (1, oneofl [ '"'; '\\'; '\n'; '\t'; '\r'; '\000'; '\031'; '\127' ]);
+             (1, oneofl [ '\128'; '\195'; '\169'; '\255'; '/'; 'u' ]);
+           ])
+      (int_bound 8))
+
+let gen_json_float =
+  QCheck.Gen.(
+    frequency
+      [
+        ( 3,
+          map
+            (fun bits ->
+              let f = Int64.float_of_bits bits in
+              if Float.is_finite f then f else 1.5)
+            ui64 );
+        (1, float_range (-1e6) 1e6);
+        ( 1,
+          oneofl
+            [
+              0.0; -0.0; 1.0; -2.0; 0.1; 1e15; 1e16; 1e308; -1e308; max_float;
+              min_float; 5e-324; 1e-310; 2.2250738585072009e-308; 1e21;
+              123456789012345678.0; 0.30000000000000004;
+            ] );
+      ])
+
+let gen_json_value =
+  QCheck.Gen.(
+    sized_size (int_bound 40)
+    @@ fix (fun self n ->
+           let leaf =
+             frequency
+               [
+                 (1, return Json.Null);
+                 (1, map (fun b -> Json.Bool b) bool);
+                 ( 3,
+                   map
+                     (fun i -> Json.Int i)
+                     (frequency
+                        [ (3, int); (1, oneofl [ min_int; max_int; 0; -1 ]) ]) );
+                 (3, map (fun f -> Json.Num f) gen_json_float);
+                 (3, map (fun s -> Json.Str s) gen_json_string);
+               ]
+           in
+           if n <= 0 then leaf
+           else
+             frequency
+               [
+                 (2, leaf);
+                 ( 1,
+                   map
+                     (fun l -> Json.Arr l)
+                     (list_size (int_bound 4) (self (n / 3))) );
+                 ( 1,
+                   map
+                     (fun l -> Json.Obj l)
+                     (list_size (int_bound 4)
+                        (pair gen_json_string (self (n / 3)))) );
+               ]))
+
+let arb_json = QCheck.make gen_json_value ~print:Json.to_line
+
+let json_round_trip =
+  QCheck.Test.make ~name:"parse (to_string v) and parse (to_line v) give v back"
+    ~count:2000 arb_json (fun v ->
+      let back text =
+        match Json.parse text with
+        | Ok w -> json_equal v w
+        | Error e -> QCheck.Test.fail_reportf "%s\n%s" e text
+      in
+      back (Json.to_string v) && back (Json.to_line v))
+
+(* Truncate, overwrite or insert one byte of a writer-produced document:
+   the reader answers Ok or Error and never raises. *)
+let json_reader_total =
+  let gen =
+    QCheck.Gen.(
+      quad gen_json_value (int_bound 2) nat (map Char.chr (int_bound 255)))
+  in
+  let mutate (v, op, at, c) =
+    let text = if at mod 2 = 0 then Json.to_string v else Json.to_line v in
+    let n = String.length text in
+    let i = at mod (n + 1) in
+    match op with
+    | 0 -> String.sub text 0 i
+    | 1 when i < n -> String.mapi (fun j d -> if j = i then c else d) text
+    | _ -> String.sub text 0 i ^ String.make 1 c ^ String.sub text i (n - i)
+  in
+  QCheck.Test.make ~name:"reader is total on mutated documents" ~count:3000
+    (QCheck.make gen ~print:(fun m -> String.escaped (mutate m)))
+    (fun m ->
+      match Json.parse (mutate m) with
+      | Ok _ | Error _ -> true
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
+let test_json_writer_rules () =
+  let check name expected v =
+    Alcotest.(check string) name expected (Json.to_string v)
+  in
+  check "empty object" "{}\n" (Json.Obj []);
+  check "depth-1 members one per line, depth 2 inline"
+    "[\n  {},\n  [\n    1,\n    [2, {\"a\": []}]\n  ]\n]\n"
+    Json.(
+      Arr
+        [
+          Obj [];
+          Arr [ Int 1; Arr [ Int 2; Obj [ ("a", Arr []) ] ] ];
+        ]);
+  Alcotest.(check string) "one line" "{\"a\": [1, 2.0], \"b\": {\"c\": null}}"
+    Json.(
+      to_line
+        (Obj [ ("a", Arr [ Int 1; Num 2.0 ]); ("b", Obj [ ("c", Null) ]) ]));
+  List.iter
+    (fun (f, text) ->
+      Alcotest.(check string) (Printf.sprintf "float %h" f) text
+        (Json.to_line (Json.Num f)))
+    [
+      (0.1, "0.1"); (2.0, "2.0"); (-0.0, "-0.0"); (1e21, "1e+21");
+      (0.30000000000000004, "0.30000000000000004"); (Float.nan, "0.0");
+      (Float.infinity, "0.0"); (Float.neg_infinity, "0.0");
+    ];
+  Alcotest.(check string) "escapes" ({|"q\"b\\n\nt\tc\u0001\u001f|} ^ "\xc3\xa9\"")
+    (Json.quote "q\"b\\n\nt\tc\001\031\xc3\xa9")
+
+let test_json_reader_rules () =
+  let ok text expected =
+    match Json.parse text with
+    | Ok v ->
+      Alcotest.(check bool) (Printf.sprintf "%s reads back" text) true
+        (json_equal v expected)
+    | Error e -> Alcotest.failf "%s: %s" text e
+  in
+  let rejects text =
+    Alcotest.(check bool) (Printf.sprintf "%S rejected" text) true
+      (Result.is_error (Json.parse text))
+  in
+  ok "1" (Json.Int 1);
+  ok "-4611686018427387904" (Json.Int min_int);
+  ok "4611686018427387904" (Json.Num 4611686018427387904.0);
+  ok "1.0" (Json.Num 1.0);
+  ok "1e2" (Json.Num 100.0);
+  ok "-0.0" (Json.Num (-0.0));
+  ok {|"\u0041\u00e9"|} (Json.Str "A\xc3\xa9");
+  (* int_of_string would take "0x1_2_" as 0x12. *)
+  rejects {|"\u1_2_"|};
+  rejects {|"\u12"|};
+  rejects {|"\u12g4"|};
+  rejects "\"a\tb\"";
+  rejects "\"a\001\"";
+  Alcotest.(check (option (float 0.0))) "to_num takes Int" (Some 3.0)
+    (Json.to_num (Json.Int 3));
+  Alcotest.(check (option int)) "to_int refuses Num" None
+    (Json.to_int (Json.Num 3.0))
 
 let () =
   Alcotest.run "obs"
@@ -1049,6 +1226,15 @@ let () =
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest histogram_quantiles_match_reference ] );
+      ( "json",
+        [
+          Alcotest.test_case "writer layout, floats and escapes" `Quick
+            test_json_writer_rules;
+          Alcotest.test_case "reader numbers, escapes and strictness" `Quick
+            test_json_reader_rules;
+          QCheck_alcotest.to_alcotest json_round_trip;
+          QCheck_alcotest.to_alcotest json_reader_total;
+        ] );
       ( "integration",
         [
           Alcotest.test_case "engine counters flow" `Quick

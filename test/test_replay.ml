@@ -86,12 +86,12 @@ let test_season_shape () =
 
 let test_summary_json_parses () =
   let r = run Replay.Incremental in
-  match Rr_perf.Json.parse (Replay.summary_json r) with
+  match Rr_obs.Json.parse (Replay.summary_json r) with
   | Error e -> Alcotest.failf "summary is not valid JSON: %s" e
   | Ok j ->
-    let get_i k = Option.bind (Rr_perf.Json.member k j) Rr_perf.Json.to_int in
+    let get_i k = Option.bind (Rr_obs.Json.member k j) Rr_obs.Json.to_int in
     let get_s k =
-      Option.bind (Rr_perf.Json.member k j) Rr_perf.Json.to_str
+      Option.bind (Rr_obs.Json.member k j) Rr_obs.Json.to_str
     in
     Alcotest.(check (option int)) "schema" (Some 1) (get_i "schema");
     Alcotest.(check (option string)) "mode" (Some "incremental") (get_s "mode");
